@@ -6,14 +6,13 @@ Subcommands: ``simulate`` (draw one realization and write it as CSV),
 human-readable summary of a result directory).
 
 Exit statuses follow the runner contract: 0 pass, 1 acceptance failure,
-2 configuration error, 3 runtime sampling error.  ``--threads`` (or the
-RCS_THREADS environment variable) affects wall time only, never results.
+2 configuration error, 3 runtime sampling error.  Results depend only on
+the config and seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -32,13 +31,6 @@ def _load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_kv(text)
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("RCS_THREADS")
-    return int(env) if env else 1
 
 
 def _cmd_simulate(args) -> int:
@@ -87,7 +79,7 @@ def _cmd_verify_with(raw, args) -> int:
     if args.reps is not None:
         raw["n_rep"] = str(args.reps)
     cfg = build_experiment_config(raw)
-    status = run_experiment(cfg, args.out, threads=_threads(args), raw_config=raw)
+    status = run_experiment(cfg, args.out, raw_config=raw)
     print(f"experiment {cfg.kind}: exit status {status}")
     return status
 
@@ -122,10 +114,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--reps", type=int, default=None, help="override replication count")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument(
-            "--threads", type=int, default=None,
-            help="worker threads (wall time only; falls back to RCS_THREADS)",
-        )
 
     common(sub.add_parser("simulate", help="draw one realization, write pattern.csv"))
     common(sub.add_parser("verify", help="run a verification experiment"))

@@ -116,12 +116,15 @@ class CumulativeStepCluster(ClusterModel):
         total = int(sizes.sum())
         if total == 0:
             return sizes, np.empty(0)
-        steps = np.asarray(self.step.sample(rng, total), dtype=np.float64)
-        cum = np.cumsum(steps)
-        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        base = np.concatenate(([0.0], cum))[starts]
-        seg = np.repeat(np.arange(n), sizes)
-        return sizes, cum - base[seg]
+        offs = np.asarray(self.step.sample(rng, total), dtype=np.float64)
+        # partial sums within each cluster, added in order as np.cumsum
+        # would, so their rounding does not grow with the batch
+        starts = np.cumsum(sizes) - sizes
+        live = np.flatnonzero(sizes > 1)
+        for k in range(1, int(sizes.max())):
+            live = live[sizes[live] > k]
+            offs[starts[live] + k] += offs[starts[live] + k - 1]
+        return sizes, offs
 
     def mean_size(self, interarrival_law):
         return self.size.mean()

@@ -1,16 +1,17 @@
 """Monte Carlo estimators with closed-form long-run targets.
 
-Each estimator replicates an independent simulation, aggregates in
-replication-index order (so results are bit-stable for any worker count),
-and reports a normal-approximation confidence interval next to the
-closed-form limit when the spec's moment accessors are available.
+Each estimator simulates its replications in blocks of B rows (see
+``replicate``), where block k draws from substream k of the experiment's
+stream, so results depend only on the seed, B and the replication count,
+never on the order in which blocks run.  Each reports a
+normal-approximation confidence interval next to the closed-form limit
+when the spec's moment accessors are available.
 """
 
 from __future__ import annotations
 
 import io
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
@@ -22,10 +23,7 @@ from .errors import (
     QuadratureError,
     SupportRangeError,
 )
-from .process import (
-    ProcessSpec,
-    sample_renewal_cluster_process,
-)
+from .process import ProcessSpec, block_size, delayed_block, guard_band
 from .stats import empirical_cdf
 from .streams import RngStream
 
@@ -64,6 +62,7 @@ class ExperimentReport:
     seed: int
     stream_id: int
     truncation_tally: int = 0
+    block: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not (self.ci_low <= self.estimate <= self.ci_high):
@@ -107,7 +106,7 @@ class ExperimentReport:
         )
 
 
-def _report(values, tallies, target, rng, z=DEFAULT_Z):
+def _report(values, tallies, target, rng, block, z=DEFAULT_Z):
     values = np.asarray(values, dtype=np.float64)
     est = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
@@ -121,20 +120,38 @@ def _report(values, tallies, target, rng, z=DEFAULT_Z):
         seed=rng.seed,
         stream_id=rng.stream_id,
         truncation_tally=int(np.sum(tallies)),
+        block=block,
     )
 
 
-def replicate(fn, n_rep: int, rng: RngStream, threads: int = 1) -> list:
-    """Run fn(stream) once per replication on independent substreams.
+def replicate(fn, n_rep: int, rng: RngStream, block: int) -> np.ndarray:
+    """Run fn(stream, rows) on consecutive blocks of at most ``block``
+    replications and stack its per-replication rows in replication order.
 
-    Results are collected by replication index, so the outcome is
-    identical for any thread count; threads only affect wall time.
+    Block k holds replications k * block onwards and draws from
+    rng.substream(k) alone, so blocks can run in any order.
     """
-    streams = [rng.substream(r) for r in range(n_rep)]
-    if threads <= 1:
-        return [fn(s) for s in streams]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, streams))
+    return np.concatenate([
+        fn(rng.substream(k), min(block, n_rep - start))
+        for k, start in enumerate(range(0, n_rep, block))
+    ])
+
+
+def _delayed_rows(spec: ProcessSpec, hi: float, read):
+    """Block function applying ``read`` to a delayed_block on
+    (0, hi + guard], and its block size."""
+    t_max = hi + guard_band(spec)
+
+    def rows_of(stream, rows):
+        return read(delayed_block(spec, rows, t_max, stream.generator()))
+
+    return rows_of, block_size(spec, t_max)
+
+
+def _window_rows(spec: ProcessSpec, lo: float, hi: float):
+    """Block function giving each row's (count in (lo, hi], overflow), and
+    its block size."""
+    return _delayed_rows(spec, hi, lambda b: np.column_stack(b.window_counts(lo, hi)))
 
 
 def _rate_term(spec: ProcessSpec) -> float:
@@ -178,22 +195,17 @@ def estimate_window_mean(
     x: float,
     n_rep: int,
     rng: RngStream,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Monte Carlo mean of the count in (t, t+x] over independent runs."""
     if t < 0 or not x > 0 or n_rep < 2:
         raise ValueError("need t >= 0, x > 0, n_rep >= 2")
-
-    def one(stream):
-        pat = sample_renewal_cluster_process(spec, t, t + x, stream)
-        return len(pat), pat.overflow
-
-    counts = replicate(one, n_rep, rng, threads)
+    fn, block = _window_rows(spec, t, t + x)
+    out = replicate(fn, n_rep, rng, block)
     try:
         target = theoretical_blackwell_limit(spec, x)
     except AccessorUnavailableError:
         target = None
-    return _report([c for c, _ in counts], [o for _, o in counts], target, rng)
+    return _report(out[:, 0], out[:, 1], target, rng, block)
 
 
 def estimate_elementary_ratio(
@@ -201,22 +213,17 @@ def estimate_elementary_ratio(
     t: float,
     n_rep: int,
     rng: RngStream,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Monte Carlo estimate of (count in (0, t]) / t."""
     if not t > 0:
         raise ValueError("t must be positive")
-
-    def one(stream):
-        pat = sample_renewal_cluster_process(spec, 0.0, t, stream)
-        return len(pat) / t, pat.overflow
-
-    out = replicate(one, n_rep, rng, threads)
+    fn, block = _window_rows(spec, 0.0, t)
+    out = replicate(fn, n_rep, rng, block)
     try:
         target = _rate_term(spec)
     except AccessorUnavailableError:
         target = None
-    return _report([v for v, _ in out], [o for _, o in out], target, rng)
+    return _report(out[:, 0] / t, out[:, 1], target, rng, block)
 
 
 @dataclass(frozen=True)
@@ -230,6 +237,7 @@ class CdfReport:
     target: np.ndarray | None
     seed: int
     stream_id: int
+    block: int | None = field(default=None, compare=False)
 
     @property
     def max_target_gap(self) -> float | None:
@@ -245,7 +253,8 @@ class CdfReport:
         for i, x in enumerate(self.grid):
             tgt = "" if self.target is None else repr(float(self.target[i]))
             buf.write(
-                f"{x!r},{self.values[i]!r},{self.half_widths[i]!r},{tgt}\n"
+                f"{float(x)!r},{float(self.values[i])!r},"
+                f"{float(self.half_widths[i])!r},{tgt}\n"
             )
         return buf.getvalue()
 
@@ -256,35 +265,43 @@ def estimate_forward_recurrence_cdf(
     x_grid,
     n_rep: int,
     rng: RngStream,
-    threads: int = 1,
     target=None,
     z: float = DEFAULT_Z,
 ) -> CdfReport:
     """Empirical CDF of the gap to the first point strictly after t.
 
     The simulation window auto-extends (doubling, up to 6 times) for
-    replications where no point lands after t.
+    replications where no point lands after t: attempt a redraws those
+    rows of the block from its substream a.
     """
     x_grid = np.asarray(x_grid, dtype=np.float64)
     if x_grid.size == 0 or np.any(np.diff(x_grid) < 0) or np.any(x_grid < 0):
         raise ValueError("x_grid must be sorted and nonnegative")
     mu = spec.interarrival.mean()
     base_pad = float(max(x_grid[-1], 1.0) + 10.0 * mu)
+    guard = guard_band(spec)
 
-    def one(stream):
+    def rows_of(stream, rows):
+        out = np.empty((rows, 1))
+        todo = np.arange(rows)
         pad = base_pad
         for attempt in range(7):
-            pat = sample_renewal_cluster_process(spec, t, t + pad, stream.substream(attempt))
-            if len(pat):
-                return float(pat.points[0] - t)
+            g = stream.substream(attempt).generator()
+            first = delayed_block(spec, todo.size, t + pad + guard, g).first_after(t, t + pad)
+            found = np.isfinite(first)
+            out[todo[found], 0] = first[found] - t
+            todo = todo[~found]
+            if not todo.size:
+                return out
             pad *= 2.0
         raise NoPointAfterError(f"no point after t={t} within pad {pad}")
 
-    gaps = np.array(replicate(one, n_rep, rng, threads))
+    block = block_size(spec, t + base_pad + guard)
+    gaps = replicate(rows_of, n_rep, rng, block)[:, 0]
     values = empirical_cdf(gaps, x_grid)
     half = z * np.sqrt(np.maximum(values * (1.0 - values), 0.0) / n_rep)
     tgt = None if target is None else np.asarray(target, dtype=np.float64)
-    return CdfReport(x_grid, values, half, n_rep, tgt, rng.seed, rng.stream_id)
+    return CdfReport(x_grid, values, half, n_rep, tgt, rng.seed, rng.stream_id, block)
 
 
 def bartlett_lewis_void_probability(
@@ -316,9 +333,10 @@ def bartlett_lewis_recurrence_cdf(rate, mean_size, step_survival, x_grid):
     )
 
 
-def _void_target(spec: ProcessSpec, x: float):
-    """Closed-form void probability when the spec matches the Poisson-parent
-    step-cluster structure; None otherwise."""
+def _bartlett_lewis_params(spec: ProcessSpec):
+    """(rate, mean cluster size, step survival) when the spec is Poisson
+    parents with cumulative-step clusters, parents included and no delay,
+    the model of the closed-form void and recurrence targets; else None."""
     from .clusters import CumulativeStepCluster
     from .laws import Exponential
 
@@ -329,12 +347,7 @@ def _void_target(spec: ProcessSpec, x: float):
         and spec.delay is None
     ):
         step = spec.cluster.step
-        return bartlett_lewis_void_probability(
-            spec.interarrival.rate,
-            spec.cluster.size.mean(),
-            lambda y: 1.0 - step.cdf(y),
-            x,
-        )
+        return spec.interarrival.rate, spec.cluster.size.mean(), lambda y: 1.0 - step.cdf(y)
     return None
 
 
@@ -344,20 +357,15 @@ def estimate_void_probability(
     x: float,
     n_rep: int,
     rng: RngStream,
-    threads: int = 1,
 ) -> ExperimentReport:
     """Fraction of replications with an empty window (t, t+x]."""
     if t < 0 or not x > 0 or n_rep < 2:
         raise ValueError("need t >= 0, x > 0, n_rep >= 2")
-
-    def one(stream):
-        pat = sample_renewal_cluster_process(spec, t, t + x, stream)
-        return 1.0 if len(pat) == 0 else 0.0, pat.overflow
-
-    out = replicate(one, n_rep, rng, threads)
-    return _report(
-        [v for v, _ in out], [o for _, o in out], _void_target(spec, x), rng
-    )
+    fn, block = _window_rows(spec, t, t + x)
+    out = replicate(fn, n_rep, rng, block)
+    params = _bartlett_lewis_params(spec)
+    target = None if params is None else bartlett_lewis_void_probability(*params, x)
+    return _report((out[:, 0] == 0).astype(np.float64), out[:, 1], target, rng, block)
 
 
 @dataclass(frozen=True)
@@ -375,6 +383,7 @@ class RenewalFunctionTable:
     n_rep: int
     seed: int
     stream_id: int
+    block: int | None = field(default=None, compare=False)
 
     CSV_HEADER = "t,raw,corrected,std_error"
 
@@ -383,7 +392,8 @@ class RenewalFunctionTable:
         buf.write(self.CSV_HEADER + "\n")
         for i, t in enumerate(self.grid):
             buf.write(
-                f"{t!r},{self.raw[i]!r},{self.corrected[i]!r},{self.std_errors[i]!r}\n"
+                f"{float(t)!r},{float(self.raw[i])!r},"
+                f"{float(self.corrected[i])!r},{float(self.std_errors[i])!r}\n"
             )
         return buf.getvalue()
 
@@ -393,27 +403,20 @@ def estimate_renewal_function(
     t_grid,
     n_rep: int,
     rng: RngStream,
-    threads: int = 1,
 ) -> RenewalFunctionTable:
     """Monte Carlo estimate of the expected count of points at or below each
     grid time, per-replication full counting."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.size == 0 or np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be sorted and nonempty")
-    from .process import guard_band
-
     lo = min(0.0, float(t_grid[0])) - guard_band(spec) - 1.0
-
-    def one(stream):
-        pat = sample_renewal_cluster_process(spec, lo, float(t_grid[-1]), stream)
-        return np.searchsorted(pat.points, t_grid, side="right")
-
-    counts = np.array(replicate(one, n_rep, rng, threads), dtype=np.float64)
+    fn, block = _delayed_rows(spec, float(t_grid[-1]), lambda b: b.grid_counts(lo, t_grid))
+    counts = replicate(fn, n_rep, rng, block).astype(np.float64)
     raw = counts.mean(axis=0)
     se = counts.std(axis=0, ddof=1) / np.sqrt(n_rep)
     corrected = isotonic_regression(raw).x
     return RenewalFunctionTable(
-        t_grid, raw, corrected, se, n_rep, rng.seed, rng.stream_id
+        t_grid, raw, corrected, se, n_rep, rng.seed, rng.stream_id, block
     )
 
 

@@ -10,7 +10,7 @@ them order dependent.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +24,7 @@ __all__ = [
     "count_in",
     "restrict",
     "flatten",
+    "window_pattern",
 ]
 
 # Relative tolerance for the epoch-difference consistency check.  Epochs are
@@ -186,11 +187,16 @@ def count_in(p: PointPattern, a: float, b: float) -> int:
     return int(right - left)
 
 
+def window_pattern(points, lo: float, hi: float, overflow: int = 0) -> PointPattern:
+    """The points in (lo, hi], sorted; the others are added to the overflow
+    tally, never silently lost."""
+    kept = np.sort(points[(points > lo) & (points <= hi)])
+    return PointPattern(kept, (lo, hi), overflow + points.size - kept.size)
+
+
 def restrict(p: PointPattern, lo: float, hi: float) -> PointPattern:
     """Sub-pattern on (lo, hi]; dropped points are added to the overflow tally."""
-    keep = (p.points > lo) & (p.points <= hi)
-    dropped = int(p.points.size - keep.sum())
-    return PointPattern(p.points[keep], (lo, hi), p.overflow + dropped)
+    return window_pattern(p.points, lo, hi, p.overflow)
 
 
 def flatten(m: MarkedPattern, include_parents: bool = False) -> PointPattern:
@@ -201,17 +207,7 @@ def flatten(m: MarkedPattern, include_parents: bool = False) -> PointPattern:
     Points outside m.window are dropped and tallied in the result's
     ``overflow`` field, never silently lost.
     """
-    chunks = []
-    for a in m.arrivals:
-        if a.cluster_size:
-            chunks.append(a.epoch + a.offsets)
-        if include_parents:
-            chunks.append(np.array([a.epoch]))
-    if chunks:
-        pts = np.concatenate(chunks)
-    else:
-        pts = np.empty(0)
-    lo, hi = m.window
-    keep = (pts > lo) & (pts <= hi)
-    dropped = int(pts.size - keep.sum())
-    return PointPattern(np.sort(pts[keep]), m.window, dropped)
+    chunks = [a.epoch + a.offsets for a in m.arrivals]
+    if include_parents:
+        chunks.append(np.array([a.epoch for a in m.arrivals]))
+    return window_pattern(np.concatenate([np.empty(0), *chunks]), *m.window)

@@ -1,10 +1,12 @@
 """Process specifications, simulation of delayed marked renewal processes,
 and the renewal cluster processes built on top of them.
 
-All samplers are deterministic given an RngStream: the same (spec, window,
-seed, stream) produces a bit-identical result.  Epochs are computed by a
-running prefix sum in arrival order so the epoch-difference invariant of
-MarkedPattern holds to rounding.
+Replications are simulated in blocks: ``delayed_block`` draws B rows of
+gaps as a 2-D array from one generator, takes epochs by a running prefix
+sum along each row (so the epoch-difference invariant of MarkedPattern
+holds to rounding) and draws every cluster in one ``sample_batch`` call.
+The public samplers are the B = 1 case and deterministic given an
+RngStream: the same (spec, window, stream) gives a bit-identical result.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .clusters import ClusterModel, EmptyCluster
 from .errors import RunawayGenerationError
 from .laws import Exponential, Uniform
-from .patterns import MarkedArrival, MarkedPattern, PointPattern
+from .patterns import MarkedArrival, MarkedPattern, PointPattern, window_pattern
 from .streams import RngStream
 
 __all__ = [
@@ -27,6 +29,9 @@ __all__ = [
     "sample_delayed_marked_renewal",
     "sample_renewal_cluster_process",
     "guard_band",
+    "Block",
+    "block_size",
+    "delayed_block",
     "bartlett_lewis_preset",
     "gated_cluster_preset",
 ]
@@ -35,6 +40,11 @@ __all__ = [
 # is a deterministic function of the spec alone.
 _PILOT_STREAM = RngStream(0x6A7D_BA5E)
 _PILOT_DRAWS = 10_000
+
+# Replications per block: as many as fit this many expected arrivals, and
+# no more than BLOCK_ROWS.
+BLOCK_ARRIVALS = 2**15
+BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -77,54 +87,158 @@ def sample_cluster(model: ClusterModel, x: float, rng):
     return len(offsets), offsets
 
 
-def _arrival_arrays(spec: ProcessSpec, t_max: float, g: np.random.Generator):
-    """Epochs and gaps of the delayed renewal process with epochs <= t_max.
+def _csr(sizes) -> np.ndarray:
+    """Segment offsets: segment i is [out[i], out[i + 1])."""
+    return np.concatenate(([0], np.cumsum(sizes)))
 
-    The first gap is the delay draw (0 for zero delay); the delay draw is
-    consumed even when the resulting epoch falls beyond t_max.
+
+def _segment_reduce(ufunc, values, starts, empty) -> np.ndarray:
+    """ufunc.reduce over each segment; ``empty`` for empty segments, and
+    ``empty`` must not change a nonempty segment's result."""
+    out = ufunc.reduceat(np.append(values, empty), starts[:-1])
+    out[starts[1:] == starts[:-1]] = empty
+    return out
+
+
+class Block:
+    """The replications of one block as flat arrays, each row's entries
+    contiguous (CSR).
+
+    Row r's arrivals are ``epochs[starts[r]:starts[r + 1]]`` in ascending
+    order, with their gaps and cluster sizes; ``offsets`` holds the
+    clusters' offsets in arrival order, and row r's cluster points are
+    ``points[point_starts[r]:point_starts[r + 1]]``.  When the spec
+    includes parents, the epochs count as points too.
     """
-    delay = float(spec.delay.sample(g)) if spec.delay is not None else 0.0
-    mu = spec.interarrival.mean()
-    gaps = [np.array([delay])]
-    total = delay
-    count = 1
-    while total <= t_max:
-        n = max(32, int((t_max - total) / mu * 1.25) + 16)
-        block = np.asarray(spec.interarrival.sample(g, n), dtype=np.float64)
-        gaps.append(block)
-        total += float(block.sum())
-        count += n
-        if count > spec.arrival_cap:
-            raise RunawayGenerationError(
-                f"more than {spec.arrival_cap} arrivals before t={t_max}"
+
+    def __init__(self, starts, epochs, gaps, sizes, offsets, include_parents):
+        self.rows = starts.size - 1
+        self.starts, self.epochs, self.gaps = starts, epochs, gaps
+        self.sizes, self.offsets = sizes, offsets
+        self.points = np.repeat(epochs, sizes) + offsets
+        if not np.all(np.isfinite(self.points)):
+            raise ValueError("points must be finite")
+        self.point_starts = _csr(sizes)[starts]
+        # each (points, row offsets) pair holds some of every row's points
+        self.sources = [(self.points, self.point_starts)]
+        if include_parents:
+            self.sources.append((epochs, starts))
+
+    def all_points(self) -> np.ndarray:
+        """Every point of every row, parents included, unsorted."""
+        return np.concatenate([p for p, _ in self.sources])
+
+    def window_counts(self, lo, hi):
+        """Per row: the points in (lo, hi], and the points drawn outside it."""
+        count = total = 0
+        for p, starts in self.sources:
+            count = count + _segment_reduce(np.add, (p > lo) & (p <= hi), starts, 0)
+            total = total + np.diff(starts)
+        return count, total - count
+
+    def first_after(self, t, hi) -> np.ndarray:
+        """Per row: the least point in (t, hi], inf where there is none."""
+        return np.min([
+            _segment_reduce(np.minimum, np.where((p > t) & (p <= hi), p, np.inf), starts, np.inf)
+            for p, starts in self.sources
+        ], axis=0)
+
+    def grid_counts(self, lo, grid) -> np.ndarray:
+        """(rows, len(grid)) counts of the points in (lo, u] for each u of
+        the sorted grid."""
+        hist = 0
+        for p, starts in self.sources:
+            inside = (p > lo) & (p <= grid[-1])
+            row = np.repeat(np.arange(self.rows), np.diff(starts))[inside]
+            cell = row * grid.size + np.searchsorted(grid, p[inside])
+            hist = hist + np.bincount(cell, minlength=self.rows * grid.size)
+        return hist.reshape(self.rows, grid.size).cumsum(axis=1)
+
+    def arrivals(self) -> tuple:
+        """Every arrival as a MarkedArrival, rows in order."""
+        ends = np.cumsum(self.sizes).tolist()
+        return tuple(
+            MarkedArrival(e, k, self.offsets[end - k : end], x)
+            for e, x, k, end in zip(
+                self.epochs.tolist(), self.gaps.tolist(), self.sizes.tolist(), ends
             )
-    all_gaps = np.concatenate(gaps)
-    epochs = np.cumsum(all_gaps)
-    cut = np.searchsorted(epochs, t_max, side="right")
-    return epochs[:cut], all_gaps[:cut]
+        )
 
 
-def _cluster_arrays(spec: ProcessSpec, gaps: np.ndarray, g: np.random.Generator):
-    """Sizes and concatenated offsets for every arrival, delay arrival first."""
-    n = len(gaps)
-    if n == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    delay_model = spec.delay_cluster if spec.delay_cluster is not None else EmptyCluster()
-    s0, o0 = delay_model.sample_batch(gaps[:1], g)
-    s1, o1 = spec.cluster.sample_batch(gaps[1:], g)
-    return np.concatenate([s0, s1]), np.concatenate([o0, o1])
+def block_size(spec: ProcessSpec, span: float) -> int:
+    """Replications per block for paths covering a time span of this length.
+
+    As many as fit BLOCK_ARRIVALS expected arrivals, at most BLOCK_ROWS: a
+    function of the inputs alone, never of how the blocks are run.
+    """
+    per_rep = max(span / spec.interarrival.mean(), 1.0)
+    return int(max(1, min(BLOCK_ROWS, BLOCK_ARRIVALS // per_rep)))
 
 
-def _segment_abs_max(offsets: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Per-cluster max |offset|; 0 for empty clusters."""
-    radii = np.zeros(len(sizes))
-    if offsets.size == 0:
-        return radii
-    ext = np.concatenate([np.abs(offsets), [0.0]])
-    starts = np.minimum(np.concatenate(([0], np.cumsum(sizes)[:-1])), offsets.size)
-    radii = np.maximum.reduceat(ext, starts)[: len(sizes)]
-    radii[sizes == 0] = 0.0
-    return radii
+def _gaps_until(spec: ProcessSpec, need, g: np.random.Generator, drawn: int = 0):
+    """Gaps as a (rows, n) array, drawn in column chunks until every row's
+    sum exceeds its entry of ``need``.
+
+    ``drawn`` arrivals per row are already drawn; drawing more than the
+    spec's arrival_cap per row raises RunawayGenerationError.
+    """
+    law = spec.interarrival
+    mu = law.mean()
+    cv2 = max(law.second_moment() / mu**2 - 1.0, 0.0)
+    short = np.asarray(need, dtype=np.float64)
+    chunks = [np.empty((short.size, 0))]
+    while short.max() >= 0:
+        m = short.max() / mu
+        n = int(m + 4.0 * np.sqrt(max(m, 1.0) * cv2)) + 16
+        drawn += n
+        if drawn > spec.arrival_cap:
+            raise RunawayGenerationError(
+                f"more than {spec.arrival_cap} arrivals to cover the window"
+            )
+        chunks.append(np.asarray(law.sample(g, (short.size, n)), dtype=np.float64))
+        short = short - chunks[-1].sum(axis=1)
+    return np.hstack(chunks)
+
+
+def _marked_block(spec, epochs, gaps, keep, g, first_model=None) -> Block:
+    """Block of the kept entries of (rows, n) epoch and gap arrays, kept
+    epochs ascending along each row, with every cluster drawn in one
+    sample_batch call.
+
+    ``first_model``, when given, draws the cluster of each row's column-0
+    arrival instead of the spec's cluster model.
+    """
+    starts = _csr(keep.sum(axis=1))
+    ep, gp = epochs[keep], gaps[keep]
+    if first_model is None:
+        sizes, offs = spec.cluster.sample_batch(gp, g)
+    else:
+        first = np.zeros(ep.size, dtype=bool)
+        first[starts[:-1][keep[:, 0]]] = True
+        sizes = np.zeros(ep.size, dtype=np.int64)
+        sizes[~first], offs = spec.cluster.sample_batch(gp[~first], g)
+        sizes[first], first_offs = first_model.sample_batch(gp[first], g)
+        if first_offs.size:  # interleave the first clusters in arrival order
+            owned = np.repeat(first, sizes)
+            merged = np.empty(owned.size)
+            merged[~owned], merged[owned] = offs, first_offs
+            offs = merged
+    return Block(starts, ep, gp, sizes, offs, spec.include_parents)
+
+
+def delayed_block(spec: ProcessSpec, rows: int, t_max: float, g) -> Block:
+    """``rows`` replications of the delayed process with arrivals on
+    [0, t_max] and a cluster for every arrival.
+
+    Each row's first gap is its delay draw (0 for zero delay), drawn even
+    when it lands beyond t_max; the first arrival's cluster follows
+    ``delay_cluster`` (empty when None).
+    """
+    delay = np.zeros(rows) if spec.delay is None else spec.delay.sample(g, rows)
+    gaps = np.column_stack([delay, _gaps_until(spec, t_max - delay, g, drawn=1)])
+    epochs = np.cumsum(gaps, axis=1)
+    first = spec.delay_cluster if spec.delay_cluster is not None else EmptyCluster()
+    return _marked_block(spec, epochs, gaps, epochs <= t_max, g, first)
 
 
 @functools.lru_cache(maxsize=None)
@@ -135,18 +249,15 @@ def guard_band(spec: ProcessSpec, delta: float = 1e-4) -> float:
     from a fixed pilot sample, so that at most a delta fraction of clusters
     can straddle the window edge from beyond the band.
     """
+    def cluster_radii(model, xs):
+        sizes, offs = model.sample_batch(np.asarray(xs, dtype=np.float64), g)
+        return _segment_reduce(np.maximum, np.abs(offs), _csr(sizes), 0.0)
+
     g = _PILOT_STREAM.generator()
-    xs = np.asarray(spec.interarrival.sample(g, _PILOT_DRAWS), dtype=np.float64)
-    sizes, offs = spec.cluster.sample_batch(xs, g)
-    radii = _segment_abs_max(offs, sizes)
+    radii = cluster_radii(spec.cluster, spec.interarrival.sample(g, _PILOT_DRAWS))
     if spec.delay_cluster is not None:
-        xs0 = (
-            np.asarray(spec.delay.sample(g, _PILOT_DRAWS), dtype=np.float64)
-            if spec.delay is not None
-            else np.zeros(_PILOT_DRAWS)
-        )
-        s0, o0 = spec.delay_cluster.sample_batch(xs0, g)
-        radii = np.concatenate([radii, _segment_abs_max(o0, s0)])
+        xs0 = np.zeros(_PILOT_DRAWS) if spec.delay is None else spec.delay.sample(g, _PILOT_DRAWS)
+        radii = np.concatenate([radii, cluster_radii(spec.delay_cluster, xs0)])
     if not radii.size or radii.max() == 0.0:
         return 0.0
     return float(np.quantile(radii, 1.0 - delta)) + 1e-9
@@ -158,30 +269,12 @@ def sample_delayed_marked_renewal(
     """Delayed marked renewal process with epochs up to horizon + guard."""
     if not horizon >= 0 or not guard >= 0:
         raise ValueError("horizon and guard must be nonnegative")
-    g = rng.generator()
     t_max = horizon + guard
-    epochs, gaps = _arrival_arrays(spec, t_max, g)
-    sizes, offs = _cluster_arrays(spec, gaps, g)
+    blk = delayed_block(spec, 1, t_max, rng.generator())
     lo = -max(guard, 1e-12)
-    if epochs.size and epochs[0] <= lo:
-        lo = float(np.nextafter(epochs[0], -np.inf))
-    hi = max(t_max, lo + 1e-12)
-    arrivals = []
-    pos = 0
-    for i in range(len(epochs)):
-        k = int(sizes[i])
-        arrivals.append(
-            MarkedArrival(float(epochs[i]), k, offs[pos : pos + k], float(gaps[i]))
-        )
-        pos += k
-    return MarkedPattern(tuple(arrivals), (lo, hi))
-
-
-def _flatten_arrays(epochs, sizes, offs, include_parents):
-    points = np.repeat(epochs, sizes) + offs
-    if include_parents:
-        points = np.concatenate([points, epochs])
-    return points
+    if blk.epochs.size and blk.epochs[0] <= lo:
+        lo = float(np.nextafter(blk.epochs[0], -np.inf))
+    return MarkedPattern(blk.arrivals(), (lo, max(t_max, lo + 1e-12)))
 
 
 def sample_renewal_cluster_process(
@@ -189,21 +282,14 @@ def sample_renewal_cluster_process(
 ) -> PointPattern:
     """Realization of the renewal cluster process restricted to (lo, hi].
 
-    Parents are simulated on (0, window_hi + guard]; cluster points are
-    translated to their parents and the result restricted to the requested
-    window.  Dropped points are tallied in ``overflow`` so callers can
+    The one-row block of the delayed process on (0, window_hi + guard];
+    points outside the window are tallied in ``overflow`` so callers can
     bound edge effects.
     """
     if not window_lo < window_hi:
         raise ValueError("need window_lo < window_hi")
-    guard = guard_band(spec)
-    g = rng.generator()
-    epochs, gaps = _arrival_arrays(spec, window_hi + guard, g)
-    sizes, offs = _cluster_arrays(spec, gaps, g)
-    points = _flatten_arrays(epochs, sizes, offs, spec.include_parents)
-    keep = (points > window_lo) & (points <= window_hi)
-    dropped = int(points.size - keep.sum())
-    return PointPattern(np.sort(points[keep]), (window_lo, window_hi), dropped)
+    blk = delayed_block(spec, 1, window_hi + guard_band(spec), rng.generator())
+    return window_pattern(blk.all_points(), window_lo, window_hi)
 
 
 def bartlett_lewis_preset(rate: float, size_law, step_law) -> ProcessSpec:

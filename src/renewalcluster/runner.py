@@ -3,13 +3,13 @@ CSV plus a reproducibility manifest, and returns the exit status.
 
 Exit statuses: 0 all declared targets inside their acceptance bands,
 1 acceptance failure, 2 configuration error, 3 runtime sampling error.
-Artifacts are UTF-8 CSV with LF line endings; reruns with the same config
-and seed are byte-identical regardless of thread count.
+Artifacts are UTF-8 CSV with LF line endings.  Replications run in blocks
+of B rows keyed by block index (B is a function of the config, recorded in
+the manifest), so reruns with the same config and seed are byte-identical.
 """
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .errors import ConfigError, RenewalClusterError
 from .estimators import (
     ExperimentReport,
     StepFunction,
+    _bartlett_lewis_params,
     bartlett_lewis_recurrence_cdf,
     estimate_elementary_ratio,
     estimate_forward_recurrence_cdf,
@@ -34,10 +35,11 @@ from .estimators import (
     estimate_window_mean,
     key_renewal_convolve,
     key_renewal_limit,
+    replicate,
 )
-from .stationary import sample_stationary_cluster_process
+from .stationary import stationary_rows
 from .stats import two_sample_ks
-from .streams import RngStream, stream_for
+from .streams import stream_for
 
 __all__ = ["run_experiment", "STATUS_OK", "STATUS_FAIL", "STATUS_CONFIG", "STATUS_RUNTIME"]
 
@@ -54,31 +56,24 @@ def _write(path: Path, text: str):
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _manifest(cfg: ExperimentConfig, raw: dict | None) -> str:
-    buf = io.StringIO()
-    buf.write(f"version = {__version__}\n")
-    buf.write(f"experiment = {cfg.kind}\n")
-    buf.write(f"seed = {cfg.seed}\n")
-    buf.write(f"n_rep = {cfg.n_rep}\n")
-    if raw:
-        for key in sorted(raw):
-            buf.write(f"{key} = {raw[key]}\n")
-    return buf.getvalue()
+def _manifest(cfg: ExperimentConfig, raw: dict | None, block: int | None) -> str:
+    head = {"version": __version__, "experiment": cfg.kind, "seed": cfg.seed,
+            "n_rep": cfg.n_rep, "block": block}
+    lines = [f"{k} = {v}" for k, v in head.items() if v is not None]
+    lines += [f"{k} = {raw[k]}" for k in sorted(raw or {})]
+    return "\n".join(lines) + "\n"
 
 
-def _report_csv(report: ExperimentReport) -> str:
-    return ExperimentReport.CSV_HEADER + "\n" + report.to_csv_row() + "\n"
-
-
-def _report_status(report: ExperimentReport) -> int:
+def _report_result(report: ExperimentReport):
     ok = report.within(ACCEPT_SE)
-    return STATUS_OK if ok is None or ok else STATUS_FAIL
+    status = STATUS_OK if ok is None or ok else STATUS_FAIL
+    text = ExperimentReport.CSV_HEADER + "\n" + report.to_csv_row() + "\n"
+    return status, {"report.csv": text}, report.block
 
 
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: str | Path,
-    threads: int = 1,
     raw_config: dict | None = None,
 ) -> int:
     """Execute the configured experiment and write artifacts into out_dir."""
@@ -87,7 +82,7 @@ def run_experiment(
     rng = stream_for(cfg.seed, cfg.kind)
     p = cfg.params
     try:
-        status, artifacts = _dispatch(cfg, rng, threads, p)
+        status, artifacts, block = _dispatch(cfg, rng, p)
     except ConfigError:
         raise
     except RenewalClusterError as exc:
@@ -95,42 +90,39 @@ def run_experiment(
         return STATUS_RUNTIME
     for name, text in artifacts.items():
         _write(out / name, text)
-    _write(out / "manifest.txt", _manifest(cfg, raw_config))
+    _write(out / "manifest.txt", _manifest(cfg, raw_config, block))
     return status
 
 
-def _dispatch(cfg, rng, threads, p):
+def _dispatch(cfg, rng, p):
+    """(exit status, artifacts by file name, block size or None)."""
     kind = cfg.kind
     spec = cfg.spec
     if kind == "window_mean":
-        rep = estimate_window_mean(spec, p["t"], p["x"], cfg.n_rep, rng, threads)
-        return _report_status(rep), {"report.csv": _report_csv(rep)}
+        return _report_result(estimate_window_mean(spec, p["t"], p["x"], cfg.n_rep, rng))
 
     if kind == "elementary":
-        rep = estimate_elementary_ratio(spec, p["t"], cfg.n_rep, rng, threads)
-        return _report_status(rep), {"report.csv": _report_csv(rep)}
+        return _report_result(estimate_elementary_ratio(spec, p["t"], cfg.n_rep, rng))
 
     if kind == "void_prob":
-        rep = estimate_void_probability(spec, p["t"], p["x"], cfg.n_rep, rng, threads)
-        return _report_status(rep), {"report.csv": _report_csv(rep)}
+        return _report_result(estimate_void_probability(spec, p["t"], p["x"], cfg.n_rep, rng))
 
     if kind == "recurrence_cdf":
         grid = np.array(p["grid"])
-        target = _recurrence_target(spec, grid)
-        rep = estimate_forward_recurrence_cdf(
-            spec, p["t"], grid, cfg.n_rep, rng, threads, target=target
-        )
+        params = _bartlett_lewis_params(spec)
+        target = None if params is None else bartlett_lewis_recurrence_cdf(*params, grid)
+        rep = estimate_forward_recurrence_cdf(spec, p["t"], grid, cfg.n_rep, rng, target=target)
         gap = rep.max_target_gap
         status = STATUS_OK if gap is None or gap < p["tol"] else STATUS_FAIL
-        return status, {"cdf.csv": rep.to_csv()}
+        return status, {"cdf.csv": rep.to_csv()}, rep.block
 
     if kind == "renewal_function":
-        tab = estimate_renewal_function(spec, np.array(p["grid"]), cfg.n_rep, rng, threads)
-        return STATUS_OK, {"renewal.csv": tab.to_csv()}
+        tab = estimate_renewal_function(spec, np.array(p["grid"]), cfg.n_rep, rng)
+        return STATUS_OK, {"renewal.csv": tab.to_csv()}, tab.block
 
     if kind == "key_renewal":
         g_fn = StepFunction(p["g"])
-        tab = estimate_renewal_function(spec, np.array(p["grid"]), cfg.n_rep, rng, threads)
+        tab = estimate_renewal_function(spec, np.array(p["grid"]), cfg.n_rep, rng)
         value = key_renewal_convolve(tab, g_fn, p["t"])
         limit = key_renewal_limit(spec, g_fn)
         ok = abs(value - limit) <= p["rel_tol"] * abs(limit)
@@ -138,7 +130,7 @@ def _dispatch(cfg, rng, threads, p):
         return (STATUS_OK if ok else STATUS_FAIL), {
             "report.csv": text,
             "renewal.csv": tab.to_csv(),
-        }
+        }, tab.block
 
     if kind == "coupling":
         runs = [
@@ -152,23 +144,16 @@ def _dispatch(cfg, rng, threads, p):
         ok = finite >= p["min_finite"] and agree.passed
         return (STATUS_OK if ok else STATUS_FAIL), {
             "coupling.csv": coupling_runs_to_csv(runs)
-        }
+        }, None
 
     if kind == "stationarity_check":
         shifts = p["shifts"]
-        x = p["x"]
-        samples = []
-        for i, s in enumerate(shifts):
-            sub = rng.substream(i)
-            counts = [
-                len(
-                    sample_stationary_cluster_process(
-                        spec, s, s + x, sub.substream(r)
-                    )
-                )
-                for r in range(cfg.n_rep)
-            ]
-            samples.append(np.array(counts, dtype=np.float64))
+        jobs = [stationary_rows(spec, s, s + p["x"]) for s in shifts]
+        block = min(b for _, b in jobs)  # that of the widest span
+        samples = [
+            replicate(fn, cfg.n_rep, rng.substream(i), block)[:, 0]
+            for i, (fn, _) in enumerate(jobs)
+        ]
         lines = ["shift_a,shift_b,distance,critical_value,reject"]
         any_reject = False
         for i in range(1, len(shifts)):
@@ -180,7 +165,7 @@ def _dispatch(cfg, rng, threads, p):
             )
         return (STATUS_FAIL if any_reject else STATUS_OK), {
             "stationarity.csv": "\n".join(lines) + "\n"
-        }
+        }, block
 
     if kind == "flip_test":
         stop = rademacher_flip_test(
@@ -195,26 +180,6 @@ def _dispatch(cfg, rng, threads, p):
             f"stopping,{stop.distance!r},{stop.critical_value!r},{str(stop.reject).lower()}",
             f"peek_ahead,{peek.distance!r},{peek.critical_value!r},{str(peek.reject).lower()}",
         ]
-        return (STATUS_OK if ok else STATUS_FAIL), {"flip.csv": "\n".join(lines) + "\n"}
+        return (STATUS_OK if ok else STATUS_FAIL), {"flip.csv": "\n".join(lines) + "\n"}, None
 
     raise ConfigError(f"unhandled experiment kind {kind!r}")
-
-
-def _recurrence_target(spec, grid):
-    from .clusters import CumulativeStepCluster
-    from .laws import Exponential
-
-    if (
-        isinstance(spec.interarrival, Exponential)
-        and isinstance(spec.cluster, CumulativeStepCluster)
-        and spec.include_parents
-        and spec.delay is None
-    ):
-        step = spec.cluster.step
-        return bartlett_lewis_recurrence_cdf(
-            spec.interarrival.rate,
-            spec.cluster.size.mean(),
-            lambda y: 1.0 - step.cdf(y),
-            grid,
-        )
-    return None

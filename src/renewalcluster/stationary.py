@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UnboundedLawError
-from .patterns import MarkedArrival, MarkedPattern, PointPattern
-from .process import ProcessSpec, _flatten_arrays, _segment_abs_max, guard_band
+from .patterns import MarkedArrival, MarkedPattern, PointPattern, window_pattern
+from .process import ProcessSpec, _gaps_until, _marked_block, block_size, guard_band
 from .stats import KsReport, two_sample_ks
 from .streams import RngStream
 
@@ -26,6 +26,8 @@ __all__ = [
     "sample_size_biased_mark",
     "sample_stationary_marked_renewal",
     "sample_stationary_cluster_process",
+    "stationary_block",
+    "stationary_rows",
     "point_stationary_check",
     "PointStationarityReport",
 ]
@@ -107,67 +109,52 @@ def sample_size_biased_mark(
     return MarkedArrival(0.0, len(offsets), offsets, x_star)
 
 
-def _block_gaps_until(law, total_needed, g):
-    """Draw gaps in blocks until their sum exceeds total_needed (>= 0)."""
-    mu = law.mean()
-    blocks = []
-    acc = 0.0
-    while acc <= total_needed:
-        n = max(32, int((total_needed - acc) / mu * 1.25) + 16)
-        b = np.asarray(law.sample(g, n), dtype=np.float64)
-        blocks.append(b)
-        acc += float(b.sum())
-    return np.concatenate(blocks) if blocks else np.empty(0)
+def stationary_block(spec, rows, window_lo, window_hi, g, pool_size=DEFAULT_POOL):
+    """``rows`` replications of the stationary process covering the window
+    plus guard bands, as a Block, and each row's origin index.
 
-
-def _stationary_arrays(spec, window_lo, window_hi, g, pool_size):
-    """Arrival arrays of the stationary process covering the window plus
-    guard bands, sorted by epoch.
-
-    Returns (epochs, gaps, sizes, offsets, origin_index).
+    Each row keeps the arrivals at -(1 - U) X* and U X*, the left arrivals
+    down to window_lo - guard and the right ones up to window_hi + guard.
+    For a law without an essential sup each row resamples its size-biased
+    gap from a pool of its own.
     """
     law = spec.interarrival
     guard = guard_band(spec)
-    x_star = float(_size_biased_gaps(law, 1, g, pool_size)[0])
-    u = g.random()
+    if law.sup_bound() is not None:
+        x_star = _size_biased_gaps(law, rows, g, pool_size)
+    else:
+        x_star = np.concatenate([_size_biased_gaps(law, 1, g, pool_size) for _ in range(rows)])
+    u = g.random(rows)
     t0 = u * x_star
     tm1 = -(1.0 - u) * x_star
+    right = _gaps_until(spec, np.maximum(window_hi + guard - t0, 0.0), g)
+    left = _gaps_until(spec, np.maximum(tm1 - (window_lo - guard), 0.0), g)
+    right_epochs = t0[:, None] + np.cumsum(right, axis=1)
+    # the arrival owning left gap k sits k gaps before tm1; tm1 is always kept
+    left_epochs = tm1[:, None] - (np.cumsum(left, axis=1) - left)
+    left_keep = left_epochs >= window_lo - guard
+    left_keep[:, 0] = True
+    blk = _marked_block(
+        spec,
+        np.hstack([left_epochs[:, ::-1], t0[:, None], right_epochs]),
+        np.hstack([left[:, ::-1], x_star[:, None], right]),
+        np.hstack([left_keep[:, ::-1], np.ones((rows, 1), bool), right_epochs <= window_hi + guard]),
+        g,
+    )
+    return blk, left_keep.sum(axis=1)
 
-    # right extension beyond the window edge
-    right_needed = max(window_hi + guard - t0, 0.0)
-    right_gaps = _block_gaps_until(law, right_needed, g)
-    right_cum = np.cumsum(right_gaps)
-    cut = np.searchsorted(t0 + right_cum, window_hi + guard, side="right")
-    right_gaps = right_gaps[:cut]
-    right_epochs = t0 + right_cum[:cut]
 
-    # left extension; the arrival at tm1 is always kept
-    target = window_lo - guard
-    left_needed = max(tm1 - target, 0.0)
-    raw = _block_gaps_until(law, left_needed, g)
-    left_pos = tm1 - (np.cumsum(raw) - raw)  # epoch of the arrival owning gap k
-    keep = max(int(np.searchsorted(-left_pos, -target, side="right")), 1)
-    left_gaps = raw[:keep]
-    left_epochs = left_pos[:keep]
+def stationary_rows(spec, window_lo, window_hi):
+    """Block function giving each row's (count in the window, overflow) of
+    the stationary process, and its block size."""
+    guard = guard_band(spec)
 
-    # clusters: origin mark first, then right, then left (fixed draw order)
-    origin_offs = spec.cluster.sample(x_star, g)
-    r_sizes, r_offs = spec.cluster.sample_batch(right_gaps, g)
-    l_sizes, l_offs = spec.cluster.sample_batch(left_gaps, g)
+    def rows_of(stream, rows):
+        blk, _ = stationary_block(spec, rows, window_lo, window_hi, stream.generator())
+        return np.column_stack(blk.window_counts(window_lo, window_hi))
 
-    n_left = len(left_epochs)
-    epochs = np.concatenate([left_epochs[::-1], [t0], right_epochs])
-    gaps = np.concatenate([left_gaps[::-1], [x_star], right_gaps])
-    sizes = np.concatenate([l_sizes[::-1], [len(origin_offs)], r_sizes])
-    # reorder the concatenated left offsets to match the reversed epochs
-    if l_offs.size:
-        starts = np.concatenate(([0], np.cumsum(l_sizes)[:-1]))
-        order = np.arange(n_left)[::-1]
-        l_offs = np.concatenate(
-            [l_offs[starts[i] : starts[i] + l_sizes[i]] for i in order]
-        )
-    offs = np.concatenate([l_offs, origin_offs, r_offs])
-    return epochs, gaps, sizes, offs, n_left
+    span = max(window_hi + guard, 0.0) - min(window_lo - guard, 0.0)
+    return rows_of, block_size(spec, span)
 
 
 def sample_stationary_marked_renewal(
@@ -180,21 +167,10 @@ def sample_stationary_marked_renewal(
     """Stationary marked renewal process covering (window_lo, window_hi]."""
     if not window_lo < window_hi:
         raise ValueError("need window_lo < window_hi")
-    g = rng.generator()
-    epochs, gaps, sizes, offs, origin = _stationary_arrays(
-        spec, window_lo, window_hi, g, pool_size
-    )
-    arrivals = []
-    pos = 0
-    for i in range(len(epochs)):
-        k = int(sizes[i])
-        arrivals.append(
-            MarkedArrival(float(epochs[i]), k, offs[pos : pos + k], float(gaps[i]))
-        )
-        pos += k
-    lo = float(np.nextafter(epochs[0], -np.inf))
-    hi = float(max(epochs[-1], window_hi + guard_band(spec)))
-    return TwoSidedMarkedPattern(tuple(arrivals), (lo, hi), origin_index=origin)
+    blk, origin = stationary_block(spec, 1, window_lo, window_hi, rng.generator(), pool_size)
+    lo = float(np.nextafter(blk.epochs[0], -np.inf))
+    hi = float(max(blk.epochs[-1], window_hi + guard_band(spec)))
+    return TwoSidedMarkedPattern(blk.arrivals(), (lo, hi), origin_index=int(origin[0]))
 
 
 def sample_stationary_cluster_process(
@@ -207,14 +183,8 @@ def sample_stationary_cluster_process(
     """Stationary renewal cluster process restricted to (window_lo, window_hi]."""
     if not window_lo < window_hi:
         raise ValueError("need window_lo < window_hi")
-    g = rng.generator()
-    epochs, gaps, sizes, offs, _ = _stationary_arrays(
-        spec, window_lo, window_hi, g, pool_size
-    )
-    points = _flatten_arrays(epochs, sizes, offs, spec.include_parents)
-    keep = (points > window_lo) & (points <= window_hi)
-    dropped = int(points.size - keep.sum())
-    return PointPattern(np.sort(points[keep]), (window_lo, window_hi), dropped)
+    blk, _ = stationary_block(spec, 1, window_lo, window_hi, rng.generator(), pool_size)
+    return window_pattern(blk.all_points(), window_lo, window_hi)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 Streams are backed by the counter-based Philox generator keyed by
 (seed, stream_id): identical keys reproduce identical draw sequences, and
-distinct stream ids give statistically independent streams, so replication
-r of experiment e can simply use ``stream_for(seed, e, r)`` and run
-anywhere in any order.
+distinct stream ids give statistically independent streams, so block k of
+an experiment's replications can use ``stream_for(seed, e).substream(k)``
+and run in any order.
 """
 
 from __future__ import annotations

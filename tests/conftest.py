@@ -1,0 +1,17 @@
+"""Shared fixtures."""
+
+import numpy as np
+import pytest
+
+
+def _reverse_blocks(fn, n_rep, rng, block):
+    """What ``replicate(fn, n_rep, rng, block)`` returns, computed with the
+    blocks evaluated from the last to the first and put back by index."""
+    starts = list(enumerate(range(0, n_rep, block)))
+    parts = {k: fn(rng.substream(k), min(block, n_rep - s)) for k, s in reversed(starts)}
+    return np.concatenate([parts[k] for k in range(len(starts))])
+
+
+@pytest.fixture
+def reverse_blocks():
+    return _reverse_blocks

@@ -28,9 +28,11 @@ from renewalcluster import (
     sample_size_biased_gaps,
     sample_stationary_cluster_process,
     stream_for,
+    theoretical_blackwell_limit,
     two_sample_ks,
 )
 from renewalcluster.config import build_experiment_config, parse_kv
+from renewalcluster.estimators import ExperimentReport, _report, _window_rows
 from renewalcluster.runner import run_experiment
 
 GATED_RATE = 0.56  # 1.4 points per cluster / 2.5 mean gap
@@ -202,7 +204,7 @@ class TestAcceptance:
             ok_value and ok_exact,
         )
 
-    def test_11_determinism(self, tmp_path):
+    def test_11_determinism(self, tmp_path, reverse_blocks):
         raw = parse_kv(
             "experiment = window_mean\n"
             "interarrival.kind = uniform\ninterarrival.lo = 0\n"
@@ -210,10 +212,26 @@ class TestAcceptance:
             "delay.kind = same\nt = 100\nx = 1\nn_rep = 2000\nseed = 0\n"
         )
         cfg = build_experiment_config(raw)
-        run_experiment(cfg, tmp_path / "a", threads=1, raw_config=raw)
-        run_experiment(cfg, tmp_path / "b", threads=4, raw_config=raw)
-        same = all(
+        run_experiment(cfg, tmp_path / "a", raw_config=raw)
+        run_experiment(cfg, tmp_path / "b", raw_config=raw)
+        rerun_same = all(
             (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
             for name in ("report.csv", "manifest.txt")
         )
-        _verdict(11, "rerun with 4 worker threads is byte-identical to 1 thread", same)
+        # the blocks run last to first and reassembled by index give the
+        # same bytes as run_experiment
+        rng = stream_for(cfg.seed, cfg.kind)
+        fn, block = _window_rows(cfg.spec, 100.0, 101.0)
+        out = reverse_blocks(fn, cfg.n_rep, rng, block)
+        target = theoretical_blackwell_limit(cfg.spec, 1.0)
+        rep = _report(out[:, 0], out[:, 1], target, rng, block)
+        text = ExperimentReport.CSV_HEADER + "\n" + rep.to_csv_row() + "\n"
+        order_same = (tmp_path / "a" / "report.csv").read_bytes() == text.encode()
+        manifest = (tmp_path / "a" / "manifest.txt").read_text()
+        _verdict(
+            11,
+            f"rerun byte-identical; {-(-cfg.n_rep // block)} blocks of {block} run in "
+            "reverse order reassemble to the same report.csv",
+            rerun_same and order_same and block < cfg.n_rep
+            and f"block = {block}\n" in manifest,
+        )

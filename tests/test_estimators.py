@@ -26,7 +26,7 @@ from renewalcluster import (
     theoretical_mean_measure,
 )
 from renewalcluster.errors import AccessorUnavailableError, SupportRangeError
-from renewalcluster.estimators import pilot_rate
+from renewalcluster.estimators import _report, _window_rows, pilot_rate
 
 
 class TestTheoreticalLimits:
@@ -77,12 +77,15 @@ class TestWindowMean:
         assert rep.ci_low <= rep.estimate <= rep.ci_high
         assert rep.target == pytest.approx(0.56)
 
-    def test_threads_do_not_change_result(self):
+    def test_block_order_does_not_change_result(self, reverse_blocks):
         spec = gated_cluster_preset()
-        a = estimate_window_mean(spec, 20.0, 1.0, 300, RngStream(115), threads=1)
-        b = estimate_window_mean(spec, 20.0, 1.0, 300, RngStream(115), threads=4)
-        assert a.estimate == b.estimate
-        assert a.std_error == b.std_error
+        rep = estimate_window_mean(spec, 500.0, 1.0, 300, RngStream(115))
+        fn, block = _window_rows(spec, 500.0, 501.0)
+        assert rep.block == block < 300
+        out = reverse_blocks(fn, 300, RngStream(115), block)
+        again = _report(out[:, 0], out[:, 1], rep.target, RngStream(115), block)
+        assert again.to_csv_row() == rep.to_csv_row()
+        assert again == rep
 
 
 class TestElementaryRatio:
@@ -224,6 +227,13 @@ class TestReportSerialization:
         rep = ExperimentReport(0.5, 0.01, 0.47, 0.53, 100, 0.56, 7, 3, 2)
         row = rep.to_csv_row()
         back = ExperimentReport.from_csv_row(row, stream_id=3)
+        assert back == rep
+
+    def test_estimator_report_round_trip(self):
+        spec = bartlett_lewis_preset(1.0, PoissonCount(1.0), Exponential(1.0))
+        rep = estimate_window_mean(spec, 20.0, 1.0, 50, RngStream(31, 2))
+        assert rep.block is not None
+        back = ExperimentReport.from_csv_row(rep.to_csv_row(), stream_id=2)
         assert back == rep
 
     def test_none_target_round_trip(self):

@@ -11,6 +11,7 @@ from renewalcluster import (
     Uniform,
     empirical_cdf,
     stream_for,
+    theoretical_blackwell_limit,
     two_sample_ks,
 )
 from renewalcluster.cli import main
@@ -20,6 +21,7 @@ from renewalcluster.config import (
     parse_kv,
 )
 from renewalcluster.errors import ConfigError
+from renewalcluster.estimators import ExperimentReport, _report, _window_rows
 from renewalcluster.runner import run_experiment
 from renewalcluster.stats import ks_critical_value
 
@@ -205,15 +207,44 @@ class TestRunner:
         text = (tmp_path / "flip.csv").read_text()
         assert "stopping" in text and "peek_ahead" in text
 
-    def test_thread_count_byte_identical(self, tmp_path):
-        raw = parse_kv(GATED_CONFIG)
+    def test_block_order_byte_identical(self, tmp_path, reverse_blocks):
+        raw = parse_kv(GATED_CONFIG.replace("t = 20", "t = 500"))
         cfg = build_experiment_config(raw)
-        run_experiment(cfg, tmp_path / "a", threads=1, raw_config=raw)
-        run_experiment(cfg, tmp_path / "b", threads=4, raw_config=raw)
+        run_experiment(cfg, tmp_path / "a", raw_config=raw)
+        run_experiment(cfg, tmp_path / "b", raw_config=raw)
         for name in ("report.csv", "manifest.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
+        rng = stream_for(cfg.seed, cfg.kind)
+        fn, block = _window_rows(cfg.spec, 500.0, 501.0)
+        assert block < cfg.n_rep
+        assert f"block = {block}\n" in (tmp_path / "a" / "manifest.txt").read_text()
+        out = reverse_blocks(fn, cfg.n_rep, rng, block)
+        target = theoretical_blackwell_limit(cfg.spec, 1.0)
+        rep = _report(out[:, 0], out[:, 1], target, rng, block)
+        text = ExperimentReport.CSV_HEADER + "\n" + rep.to_csv_row() + "\n"
+        assert (tmp_path / "a" / "report.csv").read_bytes() == text.encode()
+
+    @pytest.mark.parametrize("text, artifact", [
+        ("interarrival.kind = exponential\ninterarrival.rate = 1\n"
+         "cluster.kind = cumulative_steps\ncluster.size.kind = poisson\n"
+         "cluster.size.rate = 1\ncluster.step.kind = exponential\n"
+         "cluster.step.rate = 1\ninclude_parents = true\n"
+         "experiment = recurrence_cdf\nt = 200\ngrid = 0,1.5,3\n", "cdf.csv"),
+        (GATED_CONFIG.replace("experiment = window_mean", "experiment = key_renewal")
+         .replace("t = 20\nx = 1\n", "t = 500\ngrid = 496,498,499,500\ng = 0:1:1;2:4:0.5\n"),
+         "renewal.csv"),
+    ], ids=["recurrence_cdf", "key_renewal"])
+    def test_csv_fields_parse_as_floats(self, tmp_path, text, artifact):
+        raw = parse_kv(text)
+        run_experiment(build_experiment_config(raw), tmp_path, raw_config=raw)
+        header, *rows = (tmp_path / artifact).read_text().splitlines()
+        assert rows
+        for row in rows:
+            fields = row.split(",")
+            assert len(fields) == header.count(",") + 1
+            assert all(np.isfinite(float(f)) for f in fields)
 
 
 class TestCli:

@@ -23,6 +23,9 @@ from renewalcluster import (
     two_sample_ks,
 )
 from renewalcluster.errors import RunawayGenerationError
+from renewalcluster.estimators import replicate
+from renewalcluster.process import delayed_block
+from renewalcluster.stationary import stationary_block
 
 
 class TestClusterRadius:
@@ -103,6 +106,18 @@ class TestCumulativeStepCluster:
         assert model.mean_size_times_gap(law) == pytest.approx(2.0 * 2.5)
         # E[L R] = E[L^2] E[step] = (2 + 4) * 0.25
         assert model.mean_size_times_radius(law) == pytest.approx(1.5)
+
+    def test_offsets_are_exact_partial_sums(self):
+        # bit for bit np.cumsum of each cluster's own steps, however large
+        # the batch (a block holds tens of thousands of clusters)
+        model = CumulativeStepCluster(PoissonCount(2.0), Exponential(1.0))
+        sizes, offs = model.sample_batch(np.ones(20_000), RngStream(24).generator())
+        g = RngStream(24).generator()
+        model.size.sample(g, 20_000)
+        steps = model.step.sample(g, int(sizes.sum()))
+        ends = np.cumsum(sizes)
+        expect = np.concatenate([np.cumsum(steps[e - k : e]) for k, e in zip(sizes, ends)])
+        assert np.array_equal(offs, expect)
 
     def test_zero_size_gives_no_offsets(self):
         g = RngStream(23).generator()
@@ -255,3 +270,80 @@ class TestPresets:
         assert spec.mean_cluster_size() == pytest.approx(1.4)
         assert spec.interarrival.mean() == pytest.approx(2.5)
         assert not spec.include_parents
+
+
+class TestBlockBookkeeping:
+    """Each row's reductions of a block equal a brute-force recount from that
+    row's own epochs; deterministic clusters make the recount exact."""
+
+    # with zero delay, "delay-cluster" puts points at exactly -0.5 and 0.25
+    # in every row, so each boundary's open or closed side is tested
+    LO, HI, T, GRID_LO = 0.25, 12.0, 0.25, -0.5
+    GRID = np.array([0.25, 4.5, 9.0, 12.0])
+    B, N_REP = 7, 24  # odd block size, n_rep not a multiple of it
+
+    SPECS = {
+        "delay-parents": ProcessSpec(
+            Exponential(1.0), FixedOffsetsCluster((-0.75, 0.5, 2.0)),
+            delay=Exponential(1.0), include_parents=True,
+        ),
+        "delay-cluster": ProcessSpec(
+            Exponential(1.0), FixedOffsetsCluster((-0.75, 0.5, 2.0)),
+            delay_cluster=FixedOffsetsCluster((0.25, -0.5)),
+        ),
+        "stationary": ProcessSpec(
+            Exponential(1.0), FixedOffsetsCluster((-0.75, 0.5, 2.0)), include_parents=True,
+        ),
+    }
+
+    def _block(self, name, rows, g):
+        spec = self.SPECS[name]
+        if name == "stationary":
+            return stationary_block(spec, rows, self.LO, self.HI, g)[0]
+        return delayed_block(spec, rows, self.HI + guard_band(spec), g)
+
+    def _mismatch(self, name, blk, r, shift):
+        """Whether row r's reductions differ from a recount of its epochs,
+        read with the row boundaries moved by ``shift``."""
+        spec = self.SPECS[name]
+        epochs = blk.epochs[blk.starts[r] + shift : blk.starts[r + 1] + shift]
+        pts = []
+        for j, e in enumerate(epochs):
+            model = spec.cluster
+            if j == 0 and name != "stationary":
+                model = spec.delay_cluster or EmptyCluster()
+            pts += [e + o for o in model.sample(0.0, None)]
+            if spec.include_parents:
+                pts.append(e)
+        pts = np.array(pts)
+        count = int(np.sum((pts > self.LO) & (pts <= self.HI)))
+        after = pts[(pts > self.T) & (pts <= self.HI)]
+        first = after.min() if after.size else np.inf
+        grid = [int(np.sum((pts > self.GRID_LO) & (pts <= u))) for u in self.GRID]
+        got_count, got_overflow = blk.window_counts(self.LO, self.HI)
+        return not (
+            got_count[r] == count
+            and got_overflow[r] == pts.size - count
+            and blk.first_after(self.T, self.HI)[r] == first
+            and np.array_equal(blk.grid_counts(self.GRID_LO, self.GRID)[r], grid)
+        )
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_rows_match_brute_force(self, name):
+        calls = []
+
+        def check(stream, rows):
+            calls.append(rows)
+            blk = self._block(name, rows, stream.generator())
+            assert blk.rows == rows
+            return np.array([
+                [self._mismatch(name, blk, r, 0), self._mismatch(name, blk, r, 1)]
+                for r in range(rows)
+            ])
+
+        out = replicate(check, self.N_REP, RngStream(55), self.B)
+        assert calls == [7, 7, 7, 3]
+        assert out.shape == (self.N_REP, 2)
+        assert not out[:, 0].any()
+        # negative control: row boundaries shifted by one arrival must fail
+        assert out[:, 1].any()
