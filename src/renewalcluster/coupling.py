@@ -7,6 +7,14 @@ with sign +1, the delayed copy those with sign -1, so the difference
 between their current epochs performs a symmetric nonarithmetic random
 walk.  The walk is recurrent, so it eventually enters [0, epsilon); from
 that step on the two processes stay epsilon-close with identical marks.
+
+Draw order: after the two starting epochs, each block of 2^14 shared steps
+draws its 2^14 gaps from the interarrival law, then 2^14 raw 64-bit words.
+A step is +1 when its word's top bit is clear (the event ``random() < 0.5``
+at that stream position).  The stored path keeps V_i for every i <= 10^4,
+then in octave k, 10^4 2^(k-1) < i <= 10^4 2^k, the i divisible by 2^k.
+Walks, paths and the draws left after tau are bit-identical to those of
+the earlier kernel that masked every step (tests/data/walk_parity.json).
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ __all__ = [
 
 _BLOCK = 1 << 14
 _DENSE_PATH = 10_000
+_SIGN = np.uint64(1 << 63)
 
 
 @dataclass(frozen=True)
@@ -80,12 +89,30 @@ class AgreementReport:
         return (not self.capped) and not self.violations
 
 
-def _thin_mask(indices: np.ndarray) -> np.ndarray:
-    """Keep every step up to 10^4, then every 2^k-th per doubling octave."""
-    dense = indices <= _DENSE_PATH
-    safe = np.maximum(indices, _DENSE_PATH + 1)
-    stride = 2 ** np.ceil(np.log2(safe / _DENSE_PATH)).astype(np.int64)
-    return dense | (indices % stride == 0)
+def _signed_gaps(law, g, n):
+    """n shared gaps, each carrying its Rademacher sign in the sign bit.
+
+    Draws the gaps, then n raw words; a word with its top bit set makes its
+    step -1.  That is the stream position of ``g.random(n) < 0.5`` (true
+    exactly when the top bit is clear) and, bit for bit, ``np.where(plus,
+    x, -x)``.
+    """
+    x = np.asarray(law.sample(g, n), dtype=np.float64)
+    bits = x.view(np.uint64)
+    bits ^= g.bit_generator.random_raw(n) & _SIGN
+    return x
+
+
+def _kept_indices(a, b):
+    """Path indices in [a, b] kept by the thinning: every index up to 10^4,
+    then in octave k, (10^4 2^(k-1), 10^4 2^k], the multiples of 2^k."""
+    parts = [np.arange(a, min(b, _DENSE_PATH) + 1)]
+    lo, step = _DENSE_PATH, 2
+    while lo < b:
+        first = -(-max(a, lo + 1) // step) * step
+        parts.append(np.arange(first, min(b, 2 * lo) + 1, step))
+        lo, step = 2 * lo, 2 * step
+    return np.concatenate(parts)
 
 
 def _draw_starts(spec, g, pool_size, start_override):
@@ -103,8 +130,8 @@ def _walk(spec, epsilon, steps_cap, g, t0, t_delayed):
     """Run the shared walk until it enters [0, epsilon) or the cap.
 
     Returns (tau, v_tau, plus_count, sum_plus, sum_minus, path, path_idx,
-    leftover) where leftover is the unconsumed (gaps, signs) tail of the
-    final block: those draws are part of the shared sequence and feed the
+    leftover) where leftover holds the unconsumed signed gaps of the final
+    block: those draws are part of the shared sequence and feed the
     post-coupling reconstruction.
     """
     law = spec.interarrival
@@ -112,35 +139,34 @@ def _walk(spec, epsilon, steps_cap, g, t0, t_delayed):
     path = [np.array([v0])]
     path_idx = [np.array([0])]
     if 0.0 <= v0 < epsilon:
-        return 0, v0, 0, 0.0, 0.0, path, path_idx, (np.empty(0), np.empty(0, bool))
+        return 0, v0, 0, 0.0, 0.0, path, path_idx, np.empty(0)
     v = v0
     done = 0
-    sum_plus = 0.0
-    sum_minus = 0.0
-    plus_count = 0
+    total = 0.0
+    minus = 0
     while done < steps_cap:
         n = min(_BLOCK, steps_cap - done)
-        xs = np.asarray(law.sample(g, n), dtype=np.float64)
-        plus = g.random(n) < 0.5
-        vs = v + np.cumsum(np.where(plus, xs, -xs))
-        hits = np.nonzero((vs >= 0.0) & (vs < epsilon))[0]
+        steps = _signed_gaps(law, g, n)
+        vs = np.cumsum(steps)
+        vs += v
+        hits = np.flatnonzero((vs >= 0.0) & (vs < epsilon))
         stop = int(hits[0]) if hits.size else n - 1
-        gi = done + 1 + np.arange(stop + 1)
-        mask = _thin_mask(gi)
-        path.append(vs[: stop + 1][mask])
-        path_idx.append(gi[mask])
-        head_p = plus[: stop + 1]
-        head_x = xs[: stop + 1]
-        sum_plus += float(head_x[head_p].sum())
-        sum_minus += float(head_x[~head_p].sum())
-        plus_count += int(head_p.sum())
+        idx = _kept_indices(done + 1, done + stop + 1)
+        path.append(vs[idx - (done + 1)])
+        path_idx.append(idx)
+        head = steps[: stop + 1]
+        total += float(np.abs(head).sum())
+        minus += int(np.count_nonzero(np.signbit(head)))
         if hits.size:
             tau = done + stop + 1
-            leftover = (xs[stop + 1 :], plus[stop + 1 :])
-            return tau, float(vs[stop]), plus_count, sum_plus, sum_minus, path, path_idx, leftover
+            v_tau = float(vs[stop])
+            # plus and minus sums from the total |gap| and V_tau - V_0
+            d = v_tau - v0
+            sums = (total + d) / 2, (total - d) / 2
+            return tau, v_tau, tau - minus, *sums, path, path_idx, steps[stop + 1 :]
         v = float(vs[-1])
         done += n
-    return None, None, None, None, None, path, path_idx, (np.empty(0), np.empty(0, bool))
+    return None, None, None, None, None, path, path_idx, np.empty(0)
 
 
 def run_coupling(
@@ -165,21 +191,15 @@ def run_coupling(
     tau, v_tau, plus_count, sum_plus, sum_minus, path, path_idx, _ = _walk(
         spec, epsilon, steps_cap, g, t0, t_delayed
     )
-    if tau is None:
-        coupling_time = None
-        l_tau = lp_tau = None
-    else:
-        l_tau = plus_count
-        lp_tau = tau - plus_count
-        coupling_time = max(t0 + sum_plus, t_delayed + sum_minus)
+    coupled = tau is not None
     return CouplingRun(
         epsilon=epsilon,
         steps_cap=steps_cap,
         tau=tau,
         v_tau=v_tau,
-        l_tau=l_tau,
-        l_tau_delayed=lp_tau,
-        coupling_time=coupling_time,
+        l_tau=plus_count,
+        l_tau_delayed=tau - plus_count if coupled else None,
+        coupling_time=max(t0 + sum_plus, t_delayed + sum_minus) if coupled else None,
         start_stationary=t0,
         start_delayed=t_delayed,
         v_path=np.concatenate(path),
@@ -215,36 +235,17 @@ def post_coupling_agreement(
         return AgreementReport(epsilon, None, k_checks, (), None, capped=True)
 
     # shared +1-signed gaps continuing past tau
-    xs, plus = leftover
-    ys = list(xs[plus])
-    law = spec.interarrival
-    while len(ys) < k_checks:
-        more = np.asarray(law.sample(g, _BLOCK), dtype=np.float64)
-        sign = g.random(_BLOCK) < 0.5
-        ys.extend(more[sign])
+    ys = leftover[~np.signbit(leftover)]
+    while ys.size < k_checks:
+        more = _signed_gaps(spec.interarrival, g, _BLOCK)
+        ys = np.concatenate([ys, more[~np.signbit(more)]])
     ys = ys[:k_checks]
-
-    stationary_epoch = t0 + sum_plus
-    delayed_epoch = t_delayed + sum_minus
-    violations = []
-    gaps = []
-    for k in range(k_checks + 1):
-        if k > 0:
-            y = ys[k - 1]
-            stationary_epoch += y
-            delayed_epoch += y
-        diff = stationary_epoch - delayed_epoch
-        gaps.append(diff)
-        if not (0.0 <= diff < epsilon):
-            violations.append(k)
-    return AgreementReport(
-        epsilon=epsilon,
-        tau=tau,
-        k_checks=k_checks,
-        violations=tuple(violations),
-        max_gap=float(max(gaps)),
-        capped=False,
-    )
+    # np.cumsum adds in sequence, as the arrivals do one by one
+    stationary_epochs = np.cumsum(np.concatenate(([t0 + sum_plus], ys)))
+    delayed_epochs = np.cumsum(np.concatenate(([t_delayed + sum_minus], ys)))
+    gaps = stationary_epochs - delayed_epochs
+    violations = tuple(np.flatnonzero(~((gaps >= 0.0) & (gaps < epsilon))).tolist())
+    return AgreementReport(epsilon, tau, k_checks, violations, float(gaps.max()), capped=False)
 
 
 def random_walk_path(
@@ -257,12 +258,8 @@ def random_walk_path(
     """Dense walk path V_0..V_n for diagnostics (no stopping)."""
     g = rng.generator()
     t0, t_delayed = _draw_starts(spec, g, pool_size, start_override)
-    xs = np.asarray(spec.interarrival.sample(g, n_steps), dtype=np.float64)
-    plus = g.random(n_steps) < 0.5
-    v = (t0 - t_delayed) + np.concatenate(
-        ([0.0], np.cumsum(np.where(plus, xs, -xs)))
-    )
-    return v
+    steps = _signed_gaps(spec.interarrival, g, n_steps)
+    return (t0 - t_delayed) + np.concatenate(([0.0], np.cumsum(steps)))
 
 
 def rademacher_flip_test(

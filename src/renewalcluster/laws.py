@@ -50,6 +50,10 @@ class Exponential:
     def sup_bound(self):
         return None
 
+    def size_biased(self):
+        """The gap law reweighted by x, in closed form: Gamma(2, 1/rate)."""
+        return GammaLaw(2.0, 1.0 / self.rate)
+
     def sample(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size)
 
@@ -79,6 +83,9 @@ class Uniform:
     def sup_bound(self):
         return self.hi
 
+    def size_biased(self):
+        return None
+
     def sample(self, rng, size=None):
         return rng.uniform(self.lo, self.hi, size)
 
@@ -107,6 +114,10 @@ class GammaLaw:
 
     def sup_bound(self):
         return None
+
+    def size_biased(self):
+        """Gamma(k, theta) reweighted by x is Gamma(k + 1, theta)."""
+        return GammaLaw(self.shape + 1.0, self.scale)
 
     def sample(self, rng, size=None):
         return rng.gamma(self.shape, self.scale, size)
@@ -147,6 +158,9 @@ class Mixture:
         if any(b is None for b in bounds):
             return None
         return max(bounds)
+
+    def size_biased(self):
+        return None
 
     def sample(self, rng, size=None):
         scalar = size is None

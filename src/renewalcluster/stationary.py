@@ -65,10 +65,14 @@ class TwoSidedMarkedPattern(MarkedPattern):
 def _size_biased_gaps(law, n, g, pool_size=DEFAULT_POOL):
     """n draws from the gap law reweighted proportionally to the gap.
 
-    Exact rejection sampling when the law has a finite essential sup;
-    otherwise weighted resampling from a pool of ``pool_size`` candidates,
-    which carries O(1/pool_size) bias.
+    Exact: from the law's closed-form size-biased law when it has one
+    (Exponential, Gamma), else by rejection when the law has a finite
+    essential sup.  Otherwise weighted resampling from a pool of
+    ``pool_size`` candidates, which carries O(1/pool_size) bias.
     """
+    exact = law.size_biased()
+    if exact is not None:
+        return np.asarray(exact.sample(g, n), dtype=np.float64)
     bound = law.sup_bound()
     if bound is not None:
         out = np.empty(n)
@@ -115,15 +119,15 @@ def stationary_block(spec, rows, window_lo, window_hi, g, pool_size=DEFAULT_POOL
 
     Each row keeps the arrivals at -(1 - U) X* and U X*, the left arrivals
     down to window_lo - guard and the right ones up to window_hi + guard.
-    For a law without an essential sup each row resamples its size-biased
-    gap from a pool of its own.
+    For a law with neither a closed-form size-biased law nor an essential
+    sup each row resamples its size-biased gap from a pool of its own.
     """
     law = spec.interarrival
     guard = guard_band(spec)
-    if law.sup_bound() is not None:
-        x_star = _size_biased_gaps(law, rows, g, pool_size)
-    else:
+    if law.size_biased() is None and law.sup_bound() is None:
         x_star = np.concatenate([_size_biased_gaps(law, 1, g, pool_size) for _ in range(rows)])
+    else:
+        x_star = _size_biased_gaps(law, rows, g, pool_size)
     u = g.random(rows)
     t0 = u * x_star
     tm1 = -(1.0 - u) * x_star

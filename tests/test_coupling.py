@@ -1,15 +1,30 @@
+import importlib.util
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from renewalcluster import (
+    Exponential,
+    FixedCount,
+    GammaLaw,
+    Mixture,
+    PoissonCount,
     RngStream,
+    Uniform,
     gated_cluster_preset,
     post_coupling_agreement,
     rademacher_flip_test,
     run_coupling,
     two_sample_ks,
 )
-from renewalcluster.coupling import coupling_runs_to_csv, random_walk_path
+from renewalcluster.coupling import (
+    _kept_indices,
+    _signed_gaps,
+    coupling_runs_to_csv,
+    random_walk_path,
+)
 
 
 class TestRunCoupling:
@@ -144,3 +159,95 @@ class TestFlipTest:
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
             rademacher_flip_test(10, 100, RngStream(109), rule="oracle")
+
+
+class _SpecialValues:
+    """A stand-in law whose draws are the float64 values a sign rule can
+    trip on; it consumes no randomness."""
+
+    VALUES = np.array([0.0, -0.0, 5e-324, 1.0, np.inf, np.nan, 1.7976931348623157e308])
+
+    def sample(self, rng, size=None):
+        return np.resize(self.VALUES, size)
+
+
+def _thin_mask(indices):
+    """The per-step thinning rule of the earlier walk kernel (reference)."""
+    dense = indices <= 10_000
+    safe = np.maximum(indices, 10_001)
+    stride = 2 ** np.ceil(np.log2(safe / 10_000)).astype(np.int64)
+    return dense | (indices % stride == 0)
+
+
+def _kept_top_open(a, b):
+    """The arithmetic kept-index rule with each octave's upper end left
+    out: an off-by-one the comparison must catch."""
+    parts = [np.arange(a, min(b, 10_000) + 1)]
+    lo, step = 10_000, 2
+    while lo < b:
+        first = -(-max(a, lo + 1) // step) * step
+        parts.append(np.arange(first, min(b, 2 * lo), step))
+        lo, step = 2 * lo, 2 * step
+    return np.concatenate(parts)
+
+
+def _mismatched_ranges(kept):
+    """Ranges [a, b] on which ``kept(a, b)`` differs from the mask rule:
+    each octave boundary 10^4 2^k +- 1 up to 10^7, and every block of
+    2^14 steps a walk capped at 10^7 takes."""
+    ranges = []
+    for k in range(10):
+        edge = 10_000 * 2**k
+        for lo, hi in [(-1, -1), (0, 0), (1, 1), (-1, 1), (-(2**14), 2**14 - 1), (1, 2**14)]:
+            ranges.append((max(1, edge + lo), edge + hi))
+    ranges += [(s + 1, min(s + 2**14, 10**7)) for s in range(0, 10**7, 2**14)]
+    bad = []
+    for a, b in ranges:
+        idx = np.arange(a, b + 1)
+        if not np.array_equal(kept(a, b), idx[_thin_mask(idx)]):
+            bad.append((a, b))
+    return bad
+
+
+class TestWalkKernel:
+    """The block kernel against the per-step rules it replaced."""
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            Exponential(1.5),
+            Uniform(0.0, 5.0),
+            GammaLaw(2.5, 0.7),
+            Mixture(((0.3, Exponential(2.0)), (0.7, Uniform(0.0, 4.0)))),
+            PoissonCount(1.4),
+            FixedCount(3),
+            _SpecialValues(),
+        ],
+        ids=lambda law: type(law).__name__,
+    )
+    def test_signed_gaps_equal_where_rule(self, law):
+        a, b = RngStream(110).generator(), RngStream(110).generator()
+        got = _signed_gaps(law, a, 5000)
+        x = np.asarray(law.sample(b, 5000), dtype=np.float64)
+        want = np.where(b.random(5000) < 0.5, x, -x)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # both rules leave the generator at the same position
+        assert a.random() == b.random()
+
+    def test_kept_indices_equal_mask_rule(self):
+        assert _mismatched_ranges(_kept_indices) == []
+
+    def test_off_by_one_kept_rule_is_caught(self):
+        assert len(_mismatched_ranges(_kept_top_open)) > 0
+
+
+def test_coupling_walk_demo_runs(capsys):
+    path = Path(__file__).resolve().parents[1] / "demos" / "coupling_walk.py"
+    spec = importlib.util.spec_from_file_location("coupling_walk_demo", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    demo.main()
+    out = capsys.readouterr().out
+    assert re.search(r"after tau = \d+ shared steps at V_tau = ", out)
+    assert "violations []" in out

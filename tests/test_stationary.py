@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from renewalcluster import (
     EmptyCluster,
     Exponential,
+    GammaLaw,
+    Mixture,
     ProcessSpec,
     RngStream,
     Uniform,
@@ -52,8 +55,30 @@ class TestSizeBiasedGaps:
         assert abs(xs.mean() - 2.0) < 5 * se + 0.02
 
     def test_unbounded_without_pool_raises(self):
+        # no essential sup and no closed form: only a pool can serve it
+        law = Mixture(((0.5, Uniform(0.0, 1.0)), (0.5, Exponential(1.0))))
         with pytest.raises(UnboundedLawError):
-            sample_size_biased_gaps(Exponential(1.0), 10, RngStream(64), pool_size=None)
+            sample_size_biased_gaps(law, 10, RngStream(64), pool_size=None)
+
+    def test_mixture_pool_fallback(self):
+        # E X* = E X^2 / E X = (0.5/3 + 0.5*2) / 0.75 = 14/9
+        law = Mixture(((0.5, Uniform(0.0, 1.0)), (0.5, Exponential(1.0))))
+        xs = sample_size_biased_gaps(law, 100_000, RngStream(67), pool_size=200_000)
+        se = xs.std() / np.sqrt(xs.size)
+        assert abs(xs.mean() - 14.0 / 9.0) < 5 * se + 0.02
+
+    @pytest.mark.parametrize(
+        "law, shape, scale",
+        [(Exponential(1.0), 2.0, 1.0), (Exponential(4.0), 2.0, 0.25), (GammaLaw(2.5, 0.7), 3.5, 0.7)],
+        ids=["exp1", "exp4", "gamma"],
+    )
+    def test_closed_form_draws_follow_gamma(self, law, shape, scale):
+        # exact draws need no pool; X* is Gamma(shape + 1) for a Gamma(shape) law
+        xs = sample_size_biased_gaps(law, 20_000, RngStream(66), pool_size=None)
+        assert stats.kstest(xs, stats.gamma(shape, scale=scale).cdf).pvalue > 1e-3
+        # negative control: draws of the plain law must be rejected
+        plain = law.sample(RngStream(68).generator(), 20_000)
+        assert stats.kstest(plain, stats.gamma(shape, scale=scale).cdf).pvalue < 1e-3
 
     def test_size_biased_mark_gap_mean(self):
         spec = gated_cluster_preset()
