@@ -13,10 +13,11 @@ the config and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
-from .config import build_experiment_config, build_process_spec, parse_kv
+from .config import _take, build_experiment_config, build_process_spec, parse_kv
 from .errors import ConfigError, RenewalClusterError
 from .process import sample_renewal_cluster_process
 from .runner import STATUS_CONFIG, STATUS_RUNTIME, run_experiment
@@ -37,16 +38,11 @@ def _cmd_simulate(args) -> int:
     raw = _load_config(args.config)
     used = set()
     spec = build_process_spec(raw, used)
-    seed = 0
-    if "seed" in raw:
-        used.add("seed")
-        seed = int(raw["seed"])
-    try:
-        lo = float(raw["window.lo"])
-        hi = float(raw["window.hi"])
-    except KeyError as exc:
-        raise ConfigError(f"missing required key {exc.args[0]!r}") from exc
-    used.update(("window.lo", "window.hi"))
+    seed = _take(raw, used, "seed", int, default=0)
+    lo = _take(raw, used, "window.lo", float, required=True)
+    hi = _take(raw, used, "window.hi", float, required=True)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ConfigError(f"need finite window.lo < window.hi, got ({lo}, {hi}]")
     unknown = set(raw) - used
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
@@ -133,7 +129,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # a ValueError here is an argument an estimator or sampler rejected
         print(f"config error: {exc}", file=sys.stderr)
         return STATUS_CONFIG
     except RenewalClusterError as exc:

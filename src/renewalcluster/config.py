@@ -2,8 +2,9 @@
 
 The format is UTF-8 text, one ``key = value`` pair per line, ``#`` starts
 a comment.  Every key must be recognized and consumed; an unknown key is a
-hard parse error rather than a silent ignore.  See README for the full
-key schema.
+hard parse error rather than a silent ignore.  The experiment kinds and
+their parameters come from ``runner.KINDS``.  See README for the full key
+schema.
 """
 
 from __future__ import annotations
@@ -18,20 +19,9 @@ from .clusters import (
 from .errors import ConfigError, LawError
 from .laws import Exponential, FixedCount, GammaLaw, PoissonCount, Uniform
 from .process import ProcessSpec
+from .runner import KINDS
 
 __all__ = ["ExperimentConfig", "parse_kv", "build_process_spec", "build_experiment_config"]
-
-EXPERIMENT_KINDS = (
-    "window_mean",
-    "elementary",
-    "recurrence_cdf",
-    "void_prob",
-    "renewal_function",
-    "key_renewal",
-    "coupling",
-    "stationarity_check",
-    "flip_test",
-)
 
 
 @dataclass(frozen=True)
@@ -81,19 +71,6 @@ def _bool(s: str) -> bool:
     if s.lower() in ("false", "no", "0"):
         return False
     raise ValueError(s)
-
-
-def _floats(s: str):
-    return tuple(float(p) for p in s.split(",") if p.strip())
-
-
-def _pieces(s: str):
-    # "a:b:h;a:b:h" step-function pieces
-    out = []
-    for part in s.split(";"):
-        a, b, h = part.split(":")
-        out.append((float(a), float(b), float(h)))
-    return tuple(out)
 
 
 def _law(d, used, prefix):
@@ -155,9 +132,7 @@ def build_process_spec(d: dict, used: set) -> ProcessSpec:
     elif delay_kind == "same":
         delay = interarrival
     else:
-        d2 = dict(d)
-        d2["delay.kind"] = delay_kind
-        delay = _law(d2, used, "delay")
+        delay = _law(d, used, "delay")
 
     dc_kind = _take(d, used, "delay_cluster.kind", str, default="empty")
     if dc_kind == "empty":
@@ -177,63 +152,29 @@ def build_process_spec(d: dict, used: set) -> ProcessSpec:
     )
 
 
-# per-experiment parameter schema: name -> (parser, default, required)
-_KIND_PARAMS = {
-    "window_mean": {"t": (float, None, True), "x": (float, None, True)},
-    "elementary": {"t": (float, None, True)},
-    "recurrence_cdf": {
-        "t": (float, None, True),
-        "grid": (_floats, None, True),
-        "tol": (float, 0.01, False),
-    },
-    "void_prob": {"t": (float, None, True), "x": (float, None, True)},
-    "renewal_function": {"grid": (_floats, None, True)},
-    "key_renewal": {
-        "t": (float, None, True),
-        "grid": (_floats, None, True),
-        "g": (_pieces, None, True),
-        "rel_tol": (float, 0.02, False),
-    },
-    "coupling": {
-        "epsilon": (float, None, True),
-        "steps_cap": (int, 10**7, False),
-        "k_checks": (int, 100, False),
-        "min_finite": (float, 0.99, False),
-    },
-    "stationarity_check": {
-        "shifts": (_floats, None, True),
-        "x": (float, 1.0, False),
-        "alpha": (float, 0.01, False),
-    },
-    "flip_test": {
-        "n": (int, None, True),
-        "ones_needed": (int, 2, False),
-        "alpha": (float, 0.01, False),
-    },
-}
-
-_SPECLESS_KINDS = ("flip_test",)
-
-
 def build_experiment_config(d: dict) -> ExperimentConfig:
-    """Validate the full mapping and build an ExperimentConfig.
+    """Validate the full mapping against ``runner.KINDS`` and build an
+    ExperimentConfig.
 
     Raises ConfigError on any unknown, missing, or malformed key, before
     any sampling starts.
     """
     used = set()
-    kind = _take(d, used, "experiment", str, required=True)
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
-    spec = None
-    if kind not in _SPECLESS_KINDS:
-        spec = build_process_spec(d, used)
+    name = _take(d, used, "experiment", str, required=True)
+    kind = KINDS.get(name)
+    if kind is None:
+        raise ConfigError(f"unknown experiment kind {name!r}")
+    spec = build_process_spec(d, used) if kind.needs_spec else None
     n_rep = _take(d, used, "n_rep", int, default=1000)
+    if n_rep < 1:
+        raise ConfigError(f"n_rep must be at least 1, got {n_rep}")
     seed = _take(d, used, "seed", int, default=0)
     params = {}
-    for name, (parser, default, required) in _KIND_PARAMS[kind].items():
-        params[name] = _take(d, used, name, parser, default=default, required=required)
+    for key, schema in kind.params.items():
+        optional = isinstance(schema, tuple)
+        parser, default = schema if optional else (schema, None)
+        params[key] = _take(d, used, key, parser, default, required=not optional)
     unknown = set(d) - used
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
-    return ExperimentConfig(kind=kind, spec=spec, n_rep=n_rep, seed=seed, params=params)
+    return ExperimentConfig(kind=name, spec=spec, n_rep=n_rep, seed=seed, params=params)

@@ -4,11 +4,13 @@ A pattern is a finite sorted multiset of times restricted to a half-open
 window (lo, hi].  All interval conventions are half-open on the left, and
 membership tests use exact floating comparison: with a fixed seed and a
 fixed summation order counts are reproducible, whereas epsilon rules make
-them order dependent.
+them order dependent.  A marked pattern holds the marks (xi_i, X_i) at
+epochs T_i as the block engine's flat arrays, with no object per arrival.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 from dataclasses import dataclass
 
@@ -104,65 +106,87 @@ class MarkedArrival:
 
 @dataclass(frozen=True, eq=False)
 class MarkedPattern:
-    """Arrivals sorted by epoch on a window (lo, hi].
+    """Arrivals sorted by epoch on a window (lo, hi], held as flat arrays.
 
-    Consecutive epoch differences must equal the later arrival's
-    interarrival up to rounding; for a one-sided delayed process the first
-    epoch equals its own interarrival (the delay draw).
+    Arrival i has epoch ``epochs[i]``, interarrival ``gaps[i]`` and a
+    cluster of ``sizes[i]`` points; ``offsets`` holds every cluster's
+    offsets concatenated in arrival order (CSR: arrival i owns the
+    ``sizes[i]`` entries after those of arrivals 0..i-1).  Consecutive
+    epoch differences must equal the later arrival's gap up to rounding;
+    for a one-sided delayed process the first epoch equals its own gap
+    (the delay draw).
     """
 
-    arrivals: tuple[MarkedArrival, ...]
+    epochs: np.ndarray
+    gaps: np.ndarray
+    sizes: np.ndarray
+    offsets: np.ndarray
     window: tuple[float, float]
 
+    CSV_HEADER = "epoch,interarrival,cluster_size,offsets"
+
     def __post_init__(self):
-        object.__setattr__(self, "arrivals", tuple(self.arrivals))
+        for name, dtype in (("epochs", np.float64), ("gaps", np.float64),
+                            ("sizes", np.int64), ("offsets", np.float64)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        e, x, k, offs = self.epochs, self.gaps, self.sizes, self.offsets
         lo, hi = self.window
         if not lo < hi:
             raise ValueError(f"invalid window ({lo}, {hi}]")
-        prev = None
-        for a in self.arrivals:
-            if not (lo < a.epoch <= hi):
-                raise ValueError("arrival epoch outside window")
-            if prev is not None:
-                gap = a.epoch - prev.epoch
-                if gap < 0:
-                    raise ValueError("epochs must be nondecreasing")
-                scale = max(abs(a.epoch), abs(prev.epoch), 1.0)
-                if abs(gap - a.interarrival) > _EPOCH_RTOL * scale:
-                    raise ValueError(
-                        "epoch difference inconsistent with interarrival"
-                    )
-            prev = a
+        if not (e.ndim == offs.ndim == 1 and e.shape == x.shape == k.shape):
+            raise ValueError("epochs, gaps and sizes need one entry per arrival")
+        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(offs))):
+            raise ValueError("epochs and offsets must be finite")
+        if not np.all((e > lo) & (e <= hi)):
+            raise ValueError("arrival epoch outside window")
+        step = np.diff(e)
+        if np.any(step < 0):
+            raise ValueError("epochs must be nondecreasing")
+        scale = np.maximum(np.maximum(np.abs(e[1:]), np.abs(e[:-1])), 1.0)
+        if np.any(np.abs(step - x[1:]) > _EPOCH_RTOL * scale):
+            raise ValueError("epoch difference inconsistent with interarrival")
+        if not np.all(x >= 0):
+            raise ValueError("interarrival must be nonnegative")
+        if np.any(k < 0) or k.sum() != offs.size:
+            raise ValueError("cluster sizes must be nonnegative and sum to len(offsets)")
 
     def __len__(self):
-        return len(self.arrivals)
+        return int(self.epochs.size)
+
+    def _rows(self):
+        """(epoch, gap, size, end of its offsets) per arrival, as Python
+        scalars."""
+        return zip(self.epochs.tolist(), self.gaps.tolist(), self.sizes.tolist(),
+                   np.cumsum(self.sizes).tolist())
+
+    @functools.cached_property
+    def arrivals(self) -> tuple[MarkedArrival, ...]:
+        """Every arrival as a MarkedArrival, built on first access."""
+        return tuple(MarkedArrival(e, k, self.offsets[end - k : end], x)
+                     for e, x, k, end in self._rows())
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("epoch,interarrival,cluster_size,offsets\n")
-        for a in self.arrivals:
-            offs = ";".join(f"{float(o)!r}" for o in a.offsets)
-            buf.write(
-                f"{float(a.epoch)!r},{float(a.interarrival)!r},"
-                f"{int(a.cluster_size)},{offs}\n"
-            )
-        return buf.getvalue()
+        offs = [repr(o) for o in self.offsets.tolist()]
+        rows = (f"{e!r},{x!r},{k},{';'.join(offs[end - k : end])}\n"
+                for e, x, k, end in self._rows())
+        return self.CSV_HEADER + "\n" + "".join(rows)
 
     @classmethod
     def from_csv(cls, text: str, window: tuple[float, float]) -> "MarkedPattern":
         lines = text.strip().splitlines()
-        if not lines or lines[0] != "epoch,interarrival,cluster_size,offsets":
+        if not lines or lines[0] != cls.CSV_HEADER:
             raise ValueError("bad MarkedPattern CSV header")
-        arrivals = []
+        epochs, gaps, sizes, offsets = [], [], [], []
         for line in lines[1:]:
             epoch_s, inter_s, size_s, offs_s = line.split(",")
-            offs = np.array(
-                [float(s) for s in offs_s.split(";") if s], dtype=np.float64
-            )
-            arrivals.append(
-                MarkedArrival(float(epoch_s), int(size_s), offs, float(inter_s))
-            )
-        return cls(tuple(arrivals), window)
+            offs = [float(s) for s in offs_s.split(";") if s]
+            if len(offs) != int(size_s):
+                raise ValueError("offsets length must equal cluster_size")
+            epochs.append(float(epoch_s))
+            gaps.append(float(inter_s))
+            sizes.append(len(offs))
+            offsets += offs
+        return cls(epochs, gaps, sizes, offsets, window)
 
 
 def shift(p: PointPattern, t: float) -> PointPattern:
@@ -207,7 +231,7 @@ def flatten(m: MarkedPattern, include_parents: bool = False) -> PointPattern:
     Points outside m.window are dropped and tallied in the result's
     ``overflow`` field, never silently lost.
     """
-    chunks = [a.epoch + a.offsets for a in m.arrivals]
+    points = np.repeat(m.epochs, m.sizes) + m.offsets
     if include_parents:
-        chunks.append(np.array([a.epoch for a in m.arrivals]))
-    return window_pattern(np.concatenate([np.empty(0), *chunks]), *m.window)
+        points = np.concatenate([points, m.epochs])
+    return window_pattern(points, *m.window)

@@ -7,6 +7,8 @@ sum along each row (so the epoch-difference invariant of MarkedPattern
 holds to rounding) and draws every cluster in one ``sample_batch`` call.
 The public samplers are the B = 1 case and deterministic given an
 RngStream: the same (spec, window, stream) gives a bit-identical result.
+``sample_delayed_marked_renewal`` hands the block's arrays to
+MarkedPattern as they are.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .clusters import ClusterModel, EmptyCluster
 from .errors import RunawayGenerationError
 from .laws import Exponential, Uniform
-from .patterns import MarkedArrival, MarkedPattern, PointPattern, window_pattern
+from .patterns import MarkedPattern, PointPattern, window_pattern
 from .streams import RngStream
 
 __all__ = [
@@ -154,16 +156,6 @@ class Block:
             hist = hist + np.bincount(cell, minlength=self.rows * grid.size)
         return hist.reshape(self.rows, grid.size).cumsum(axis=1)
 
-    def arrivals(self) -> tuple:
-        """Every arrival as a MarkedArrival, rows in order."""
-        ends = np.cumsum(self.sizes).tolist()
-        return tuple(
-            MarkedArrival(e, k, self.offsets[end - k : end], x)
-            for e, x, k, end in zip(
-                self.epochs.tolist(), self.gaps.tolist(), self.sizes.tolist(), ends
-            )
-        )
-
 
 def block_size(spec: ProcessSpec, span: float) -> int:
     """Replications per block for paths covering a time span of this length.
@@ -274,7 +266,8 @@ def sample_delayed_marked_renewal(
     lo = -max(guard, 1e-12)
     if blk.epochs.size and blk.epochs[0] <= lo:
         lo = float(np.nextafter(blk.epochs[0], -np.inf))
-    return MarkedPattern(blk.arrivals(), (lo, max(t_max, lo + 1e-12)))
+    return MarkedPattern(blk.epochs, blk.gaps, blk.sizes, blk.offsets,
+                         (lo, max(t_max, lo + 1e-12)))
 
 
 def sample_renewal_cluster_process(

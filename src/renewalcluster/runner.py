@@ -1,6 +1,11 @@
 """Experiment runner: executes a configured experiment, writes its report
 CSV plus a reproducibility manifest, and returns the exit status.
 
+``KINDS`` is the one table of experiment kinds: for each, its parameter
+schema, whether it simulates a process spec, and its handler.
+``config.build_experiment_config`` validates against it and
+``run_experiment`` dispatches from it, so a new kind is one entry here.
+
 Exit statuses: 0 all declared targets inside their acceptance bands,
 1 acceptance failure, 2 configuration error, 3 runtime sampling error.
 Artifacts are UTF-8 CSV with LF line endings.  Replications run in blocks
@@ -11,18 +16,18 @@ the manifest), so reruns with the same config and seed are byte-identical.
 from __future__ import annotations
 
 from pathlib import Path
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig
 from .coupling import (
     coupling_runs_to_csv,
     post_coupling_agreement,
     rademacher_flip_test,
     run_coupling,
 )
-from .errors import ConfigError, RenewalClusterError
+from .errors import RenewalClusterError
 from .estimators import (
     ExperimentReport,
     StepFunction,
@@ -41,7 +46,10 @@ from .stationary import stationary_rows
 from .stats import two_sample_ks
 from .streams import stream_for
 
-__all__ = ["run_experiment", "STATUS_OK", "STATUS_FAIL", "STATUS_CONFIG", "STATUS_RUNTIME"]
+if TYPE_CHECKING:  # config imports this module for KINDS
+    from .config import ExperimentConfig
+
+__all__ = ["run_experiment", "KINDS", "STATUS_OK", "STATUS_FAIL", "STATUS_CONFIG", "STATUS_RUNTIME"]
 
 STATUS_OK = 0
 STATUS_FAIL = 1
@@ -64,13 +72,6 @@ def _manifest(cfg: ExperimentConfig, raw: dict | None, block: int | None) -> str
     return "\n".join(lines) + "\n"
 
 
-def _report_result(report: ExperimentReport):
-    ok = report.within(ACCEPT_SE)
-    status = STATUS_OK if ok is None or ok else STATUS_FAIL
-    text = ExperimentReport.CSV_HEADER + "\n" + report.to_csv_row() + "\n"
-    return status, {"report.csv": text}, report.block
-
-
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: str | Path,
@@ -80,11 +81,8 @@ def run_experiment(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = stream_for(cfg.seed, cfg.kind)
-    p = cfg.params
     try:
-        status, artifacts, block = _dispatch(cfg, rng, p)
-    except ConfigError:
-        raise
+        status, artifacts, block = KINDS[cfg.kind].run(cfg.spec, cfg.params, cfg.n_rep, rng)
     except RenewalClusterError as exc:
         _write(out / "error.txt", f"{type(exc).__name__}: {exc}\n")
         return STATUS_RUNTIME
@@ -94,92 +92,138 @@ def run_experiment(
     return status
 
 
-def _dispatch(cfg, rng, p):
-    """(exit status, artifacts by file name, block size or None)."""
-    kind = cfg.kind
-    spec = cfg.spec
-    if kind == "window_mean":
-        return _report_result(estimate_window_mean(spec, p["t"], p["x"], cfg.n_rep, rng))
+def _reported(estimator):
+    """Handler for a kind whose estimator takes (spec, *params in schema
+    order, n_rep, rng) and returns an ExperimentReport, judged at ACCEPT_SE."""
+    def run(spec, p, n_rep, rng):
+        report = estimator(spec, *p.values(), n_rep, rng)
+        ok = report.within(ACCEPT_SE)
+        status = STATUS_OK if ok is None or ok else STATUS_FAIL
+        text = ExperimentReport.CSV_HEADER + "\n" + report.to_csv_row() + "\n"
+        return status, {"report.csv": text}, report.block
+    return run
 
-    if kind == "elementary":
-        return _report_result(estimate_elementary_ratio(spec, p["t"], cfg.n_rep, rng))
 
-    if kind == "void_prob":
-        return _report_result(estimate_void_probability(spec, p["t"], p["x"], cfg.n_rep, rng))
+def _recurrence_cdf(spec, p, n_rep, rng):
+    grid = np.array(p["grid"])
+    params = _bartlett_lewis_params(spec)
+    target = None if params is None else bartlett_lewis_recurrence_cdf(*params, grid)
+    rep = estimate_forward_recurrence_cdf(spec, p["t"], grid, n_rep, rng, target=target)
+    gap = rep.max_target_gap
+    status = STATUS_OK if gap is None or gap < p["tol"] else STATUS_FAIL
+    return status, {"cdf.csv": rep.to_csv()}, rep.block
 
-    if kind == "recurrence_cdf":
-        grid = np.array(p["grid"])
-        params = _bartlett_lewis_params(spec)
-        target = None if params is None else bartlett_lewis_recurrence_cdf(*params, grid)
-        rep = estimate_forward_recurrence_cdf(spec, p["t"], grid, cfg.n_rep, rng, target=target)
-        gap = rep.max_target_gap
-        status = STATUS_OK if gap is None or gap < p["tol"] else STATUS_FAIL
-        return status, {"cdf.csv": rep.to_csv()}, rep.block
 
-    if kind == "renewal_function":
-        tab = estimate_renewal_function(spec, np.array(p["grid"]), cfg.n_rep, rng)
-        return STATUS_OK, {"renewal.csv": tab.to_csv()}, tab.block
+def _renewal_function(spec, p, n_rep, rng):
+    tab = estimate_renewal_function(spec, np.array(p["grid"]), n_rep, rng)
+    return STATUS_OK, {"renewal.csv": tab.to_csv()}, tab.block
 
-    if kind == "key_renewal":
-        g_fn = StepFunction(p["g"])
-        tab = estimate_renewal_function(spec, np.array(p["grid"]), cfg.n_rep, rng)
-        value = key_renewal_convolve(tab, g_fn, p["t"])
-        limit = key_renewal_limit(spec, g_fn)
-        ok = abs(value - limit) <= p["rel_tol"] * abs(limit)
-        text = "value,limit,rel_tol\n" + f"{value!r},{limit!r},{p['rel_tol']!r}\n"
-        return (STATUS_OK if ok else STATUS_FAIL), {
-            "report.csv": text,
-            "renewal.csv": tab.to_csv(),
-        }, tab.block
 
-    if kind == "coupling":
-        runs = [
-            run_coupling(spec, p["epsilon"], p["steps_cap"], rng.substream(r))
-            for r in range(cfg.n_rep)
-        ]
-        finite = sum(1 for r in runs if not r.capped) / len(runs)
-        agree = post_coupling_agreement(
-            spec, p["epsilon"], p["k_checks"], rng.substream(cfg.n_rep)
+def _key_renewal(spec, p, n_rep, rng):
+    g_fn = StepFunction(p["g"])
+    tab = estimate_renewal_function(spec, np.array(p["grid"]), n_rep, rng)
+    value = key_renewal_convolve(tab, g_fn, p["t"])
+    limit = key_renewal_limit(spec, g_fn)
+    ok = abs(value - limit) <= p["rel_tol"] * abs(limit)
+    text = "value,limit,rel_tol\n" + f"{value!r},{limit!r},{p['rel_tol']!r}\n"
+    return (STATUS_OK if ok else STATUS_FAIL), {
+        "report.csv": text,
+        "renewal.csv": tab.to_csv(),
+    }, tab.block
+
+
+def _coupling(spec, p, n_rep, rng):
+    runs = [
+        run_coupling(spec, p["epsilon"], p["steps_cap"], rng.substream(r))
+        for r in range(n_rep)
+    ]
+    finite = sum(1 for r in runs if not r.capped) / len(runs)
+    agree = post_coupling_agreement(
+        spec, p["epsilon"], p["k_checks"], rng.substream(n_rep)
+    )
+    ok = finite >= p["min_finite"] and agree.passed
+    return (STATUS_OK if ok else STATUS_FAIL), {"coupling.csv": coupling_runs_to_csv(runs)}, None
+
+
+def _stationarity_check(spec, p, n_rep, rng):
+    shifts = p["shifts"]
+    jobs = [stationary_rows(spec, s, s + p["x"]) for s in shifts]
+    block = min(b for _, b in jobs)  # that of the widest span
+    samples = [
+        replicate(fn, n_rep, rng.substream(i), block)[:, 0]
+        for i, (fn, _) in enumerate(jobs)
+    ]
+    lines = ["shift_a,shift_b,distance,critical_value,reject"]
+    any_reject = False
+    for i in range(1, len(shifts)):
+        ks = two_sample_ks(samples[0], samples[i], p["alpha"])
+        any_reject = any_reject or ks.reject
+        lines.append(
+            f"{shifts[0]!r},{shifts[i]!r},{ks.distance!r},"
+            f"{ks.critical_value!r},{str(ks.reject).lower()}"
         )
-        ok = finite >= p["min_finite"] and agree.passed
-        return (STATUS_OK if ok else STATUS_FAIL), {
-            "coupling.csv": coupling_runs_to_csv(runs)
-        }, None
+    return (STATUS_FAIL if any_reject else STATUS_OK), {
+        "stationarity.csv": "\n".join(lines) + "\n"
+    }, block
 
-    if kind == "stationarity_check":
-        shifts = p["shifts"]
-        jobs = [stationary_rows(spec, s, s + p["x"]) for s in shifts]
-        block = min(b for _, b in jobs)  # that of the widest span
-        samples = [
-            replicate(fn, cfg.n_rep, rng.substream(i), block)[:, 0]
-            for i, (fn, _) in enumerate(jobs)
-        ]
-        lines = ["shift_a,shift_b,distance,critical_value,reject"]
-        any_reject = False
-        for i in range(1, len(shifts)):
-            ks = two_sample_ks(samples[0], samples[i], p["alpha"])
-            any_reject = any_reject or ks.reject
-            lines.append(
-                f"{shifts[0]!r},{shifts[i]!r},{ks.distance!r},"
-                f"{ks.critical_value!r},{str(ks.reject).lower()}"
-            )
-        return (STATUS_FAIL if any_reject else STATUS_OK), {
-            "stationarity.csv": "\n".join(lines) + "\n"
-        }, block
 
-    if kind == "flip_test":
-        stop = rademacher_flip_test(
-            p["n"], cfg.n_rep, rng.substream(0), p["ones_needed"], "stopping", p["alpha"]
-        )
-        peek = rademacher_flip_test(
-            p["n"], cfg.n_rep, rng.substream(1), p["ones_needed"], "peek_ahead", p["alpha"]
-        )
-        ok = (not stop.reject) and peek.reject
-        lines = [
-            "rule,distance,critical_value,reject",
-            f"stopping,{stop.distance!r},{stop.critical_value!r},{str(stop.reject).lower()}",
-            f"peek_ahead,{peek.distance!r},{peek.critical_value!r},{str(peek.reject).lower()}",
-        ]
-        return (STATUS_OK if ok else STATUS_FAIL), {"flip.csv": "\n".join(lines) + "\n"}, None
+def _flip_test(spec, p, n_rep, rng):
+    stop = rademacher_flip_test(
+        p["n"], n_rep, rng.substream(0), p["ones_needed"], "stopping", p["alpha"]
+    )
+    peek = rademacher_flip_test(
+        p["n"], n_rep, rng.substream(1), p["ones_needed"], "peek_ahead", p["alpha"]
+    )
+    ok = (not stop.reject) and peek.reject
+    lines = [
+        "rule,distance,critical_value,reject",
+        f"stopping,{stop.distance!r},{stop.critical_value!r},{str(stop.reject).lower()}",
+        f"peek_ahead,{peek.distance!r},{peek.critical_value!r},{str(peek.reject).lower()}",
+    ]
+    return (STATUS_OK if ok else STATUS_FAIL), {"flip.csv": "\n".join(lines) + "\n"}, None
 
-    raise ConfigError(f"unhandled experiment kind {kind!r}")
+
+def _floats(s: str):
+    return tuple(float(p) for p in s.split(",") if p.strip())
+
+
+def _pieces(s: str):
+    # "a:b:h;a:b:h" step-function pieces
+    out = []
+    for part in s.split(";"):
+        a, b, h = part.split(":")
+        out.append((float(a), float(b), float(h)))
+    return tuple(out)
+
+
+class Kind(NamedTuple):
+    """An experiment kind.  ``params`` maps each parameter to its parser
+    (required) or to (parser, default) (optional); ``run(spec, params, n_rep,
+    rng)`` returns (exit status, artifacts by file name, block size or None)."""
+
+    params: dict
+    run: Callable
+    needs_spec: bool = True
+
+
+KINDS = {
+    "window_mean": Kind({"t": float, "x": float}, _reported(estimate_window_mean)),
+    "elementary": Kind({"t": float}, _reported(estimate_elementary_ratio)),
+    "recurrence_cdf": Kind({"t": float, "grid": _floats, "tol": (float, 0.01)}, _recurrence_cdf),
+    "void_prob": Kind({"t": float, "x": float}, _reported(estimate_void_probability)),
+    "renewal_function": Kind({"grid": _floats}, _renewal_function),
+    "key_renewal": Kind(
+        {"t": float, "grid": _floats, "g": _pieces, "rel_tol": (float, 0.02)}, _key_renewal
+    ),
+    "coupling": Kind(
+        {"epsilon": float, "steps_cap": (int, 10**7), "k_checks": (int, 100),
+         "min_finite": (float, 0.99)},
+        _coupling,
+    ),
+    "stationarity_check": Kind(
+        {"shifts": _floats, "x": (float, 1.0), "alpha": (float, 0.01)}, _stationarity_check
+    ),
+    "flip_test": Kind(
+        {"n": int, "ones_needed": (int, 2), "alpha": (float, 0.01)}, _flip_test, needs_spec=False
+    ),
+}

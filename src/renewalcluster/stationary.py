@@ -49,12 +49,11 @@ class TwoSidedMarkedPattern(MarkedPattern):
     def __post_init__(self):
         super().__post_init__()
         i = self.origin_index
-        if not (0 <= i < len(self.arrivals)):
+        if not (0 <= i < len(self.epochs)):
             raise ValueError("origin_index out of range")
-        origin = self.arrivals[i]
-        if origin.epoch < 0:
+        if self.epochs[i] < 0:
             raise ValueError("origin arrival must have epoch >= 0")
-        if i > 0 and not self.arrivals[i - 1].epoch < 0:
+        if i > 0 and not self.epochs[i - 1] < 0:
             raise ValueError("origin predecessor must have a negative epoch")
 
     @property
@@ -174,7 +173,8 @@ def sample_stationary_marked_renewal(
     blk, origin = stationary_block(spec, 1, window_lo, window_hi, rng.generator(), pool_size)
     lo = float(np.nextafter(blk.epochs[0], -np.inf))
     hi = float(max(blk.epochs[-1], window_hi + guard_band(spec)))
-    return TwoSidedMarkedPattern(blk.arrivals(), (lo, hi), origin_index=int(origin[0]))
+    return TwoSidedMarkedPattern(blk.epochs, blk.gaps, blk.sizes, blk.offsets, (lo, hi),
+                                 origin_index=int(origin[0]))
 
 
 def sample_stationary_cluster_process(

@@ -242,12 +242,24 @@ class TestWalkKernel:
         assert len(_mismatched_ranges(_kept_top_open)) > 0
 
 
-def test_coupling_walk_demo_runs(capsys):
-    path = Path(__file__).resolve().parents[1] / "demos" / "coupling_walk.py"
-    spec = importlib.util.spec_from_file_location("coupling_walk_demo", path)
+# one line each demo must print, as a regex
+DEMO_LINES = {
+    "coupling_walk": r"walk entered \[0, 0\.1\) after tau = \d+ shared steps at V_tau = ",
+    "limit_theorems": r"void probability: empirical 0\.\d{4}, closed form 0\.19551",
+    "simulate_clusters": r"  epoch +\d+\.\d{3}  gap \d\.\d{3}  cluster size \d+",
+    "stationary_construction": (r"origin arrival at \d\.\d{3}, predecessor at -\d\.\d{3}, "
+                                r"straddling gap \d\.\d{3}"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_LINES))
+def test_coupling_walk_demo_runs(name, capsys):
+    path = Path(__file__).resolve().parents[1] / "demos" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"{name}_demo", path)
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
     demo.main()
     out = capsys.readouterr().out
-    assert re.search(r"after tau = \d+ shared steps at V_tau = ", out)
-    assert "violations []" in out
+    assert re.search(DEMO_LINES[name], out, re.MULTILINE)
+    if name == "coupling_walk":
+        assert "violations []" in out

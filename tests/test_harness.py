@@ -22,7 +22,7 @@ from renewalcluster.config import (
 )
 from renewalcluster.errors import ConfigError
 from renewalcluster.estimators import ExperimentReport, _report, _window_rows
-from renewalcluster.runner import run_experiment
+from renewalcluster.runner import KINDS, Kind, run_experiment
 from renewalcluster.stats import ks_critical_value
 
 
@@ -182,6 +182,21 @@ class TestConfigParsing:
         assert cfg.spec is None
         assert cfg.params["n"] == 20
 
+    def test_n_rep_below_one_rejected(self):
+        d = parse_kv(GATED_CONFIG.replace("n_rep = 200", "n_rep = 0"))
+        with pytest.raises(ConfigError, match="n_rep"):
+            build_experiment_config(d)
+
+    def test_new_kind_is_one_table_entry(self, tmp_path, monkeypatch):
+        def run(spec, p, n_rep, rng):
+            return 0, {"echo.csv": f"{p['k']!r},{n_rep}\n"}, None
+
+        monkeypatch.setitem(KINDS, "echo", Kind({"k": (int, 7)}, run, needs_spec=False))
+        cfg = build_experiment_config({"experiment": "echo", "n_rep": "3"})
+        assert cfg.spec is None and cfg.params == {"k": 7}
+        assert run_experiment(cfg, tmp_path) == 0
+        assert (tmp_path / "echo.csv").read_text() == "7,3\n"
+
 
 class TestRunner:
     def test_window_mean_pass(self, tmp_path):
@@ -278,6 +293,38 @@ class TestCli:
             (out / "pattern.csv").read_text(), (0.0, 50.0)
         )
         assert len(pat) > 0
+
+    @pytest.mark.parametrize("change", [
+        ("window.hi = 50", "window.hi = abc"),
+        ("seed = 2", "seed = x"),
+        ("window.lo = 0\nwindow.hi = 50", "window.lo = 5\nwindow.hi = 1"),
+    ], ids=["hi-not-a-number", "seed-not-an-int", "lo-above-hi"])
+    def test_simulate_bad_value_exit_two(self, tmp_path, change, capsys):
+        text = (
+            "interarrival.kind = uniform\ninterarrival.lo = 0\n"
+            "interarrival.hi = 5\ncluster.kind = gated_normal\n"
+            "delay.kind = same\nwindow.lo = 0\nwindow.hi = 50\nseed = 2\n"
+        )
+        assert change[0] in text
+        cfg = self._write(tmp_path, text.replace(*change))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        GATED_CONFIG.replace("x = 1", "x = -1"),
+        GATED_CONFIG.replace("n_rep = 200", "n_rep = 0"),
+        GATED_CONFIG.replace("experiment = window_mean", "experiment = renewal_function")
+        .replace("t = 20\nx = 1\n", "grid = 5,1\n"),
+        "experiment = coupling\ninterarrival.kind = uniform\ninterarrival.lo = 0\n"
+        "interarrival.hi = 5\ncluster.kind = gated_normal\ndelay.kind = same\n"
+        "epsilon = 0.2\nn_rep = 0\n",
+    ], ids=["window_mean-x-negative", "window_mean-n_rep-0", "renewal_function-grid-unsorted",
+            "coupling-n_rep-0"])
+    def test_verify_bad_value_exit_two(self, tmp_path, text, capsys):
+        assert text != GATED_CONFIG
+        cfg = self._write(tmp_path, text)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error:" in capsys.readouterr().err
 
     def test_seed_override_changes_result(self, tmp_path):
         text = (

@@ -1,0 +1,134 @@
+"""Byte pins: sha256 of seeded outputs, recorded from commit 8b8c1f6.
+
+The marked-path CSVs, both ``flatten`` outputs, the stationary path with
+its origin index, and every artifact plus the manifest of each experiment
+kind must hash exactly as recorded there.  A refactor that changes one
+byte of any of them fails here; a change that is meant to alter seeded
+output must record new pins and say why.
+"""
+
+import hashlib
+
+import pytest
+
+from renewalcluster import (
+    Exponential,
+    PoissonCount,
+    RngStream,
+    bartlett_lewis_preset,
+    flatten,
+    gated_cluster_preset,
+    guard_band,
+    sample_delayed_marked_renewal,
+    sample_stationary_marked_renewal,
+)
+from renewalcluster.config import build_experiment_config, parse_kv
+from renewalcluster.runner import run_experiment
+
+GATED = ("interarrival.kind = uniform\ninterarrival.lo = 0\ninterarrival.hi = 5\n"
+         "cluster.kind = gated_normal\ndelay.kind = same\n")
+BARTLETT_LEWIS = ("interarrival.kind = exponential\ninterarrival.rate = 1\n"
+                  "cluster.kind = cumulative_steps\ncluster.size.kind = poisson\n"
+                  "cluster.size.rate = 1\ncluster.step.kind = exponential\n"
+                  "cluster.step.rate = 1\ninclude_parents = true\n")
+
+KIND_CONFIGS = {
+    "window_mean": GATED + "t = 20\nx = 1\nn_rep = 50\n",
+    "elementary": GATED + "t = 100\nn_rep = 50\n",
+    "recurrence_cdf": BARTLETT_LEWIS + "t = 50\ngrid = 0,1.5,3\nn_rep = 50\n",
+    "void_prob": BARTLETT_LEWIS + "t = 50\nx = 1\nn_rep = 50\n",
+    "renewal_function": GATED + "grid = 1,2,5\nn_rep = 50\n",
+    "key_renewal": GATED + "t = 50\ngrid = 46,48,49,50\ng = 0:1:1;2:4:0.5\nn_rep = 50\n",
+    "coupling": GATED + "epsilon = 0.2\nsteps_cap = 100000\nk_checks = 20\nn_rep = 10\n",
+    "stationarity_check": GATED + "shifts = 0,10\nx = 1\nn_rep = 100\n",
+    "flip_test": "n = 20\nn_rep = 500\n",
+}
+
+PRESETS = {
+    "gated": gated_cluster_preset,
+    "bartlett_lewis": lambda: bartlett_lewis_preset(1.0, PoissonCount(1.0), Exponential(1.0)),
+}
+
+PINS = {
+    "bartlett_lewis/delayed.csv": "d0666caae711eaed1598520cb84783b063e645b11ea5423fbfa2c7079708f22a",
+    "bartlett_lewis/flatten": "6f629e1ba081f8aaf08750d7cda19377cd5044c571989c3b9a34526ac917a37d",
+    "bartlett_lewis/flatten_parents": "c4fcba69f695fa810386c319112b0a9541188e41198d4e87cde7dda939b39558",
+    "bartlett_lewis/stationary.csv": "c4f1898892180bf28cad1b58e2d4a256762fc9343e02c5f4c71b4a30507e5bec",
+    "gated/delayed.csv": "a2c290c08c0607c3dbfbc67c789a1c236db12dafbfd1a0de5dac718d7577663d",
+    "gated/flatten": "25294fced5f8c910ed3116b298831d2ed7285293582f60deecc089c873cd7e37",
+    "gated/flatten_parents": "c28bf6b04e3eabd8d766c807aab7e437ca9884338177327678e8a451ee1ef599",
+    "gated/stationary.csv": "0398e2b2129017ddf2f28bcc3186df9ad0a3cb2ada0a9642f1c3468b3efe2f62",
+    "coupling/status": "0",
+    "coupling/coupling.csv": "a4e3764e20b6cce7788107022a1b79f68b74b9d11ae9ab7dee17383b08b590d8",
+    "coupling/manifest.txt": "603118e644a28c5e3a93bbf93f028e33645d4ce3cf6a9e17be904f98173b1444",
+    "elementary/status": "0",
+    "elementary/manifest.txt": "584b386cf72b3b81ab32b1cf8a3254464ed370021c5d2c54c073692b9e04dc88",
+    "elementary/report.csv": "bcd09952c882872a712ae0012aec3b1c257de55a5277cb9bf76ee2e4a370ade1",
+    "flip_test/status": "0",
+    "flip_test/flip.csv": "ce1d2f306a674bffa03cffaf52426d17f28d7b7019ee20be8501b9a26e401310",
+    "flip_test/manifest.txt": "ced6105ba386df8e60c7dc27f2c838d30a2fed03e42fbc2a5bcde0d3bcb397c0",
+    "key_renewal/status": "1",
+    "key_renewal/manifest.txt": "3505db604767d650c8a9369a29c42067e700611eb03253093bdae5d195dd0427",
+    "key_renewal/renewal.csv": "2ee9fde5a58eb1635b3e29c3f31fd7e70653cea345b95abd543862474ee23686",
+    "key_renewal/report.csv": "ccdbf4db2a3f13db6707c40b0111435bffa66f186ed32bb40df4c0c510183605",
+    "recurrence_cdf/status": "1",
+    "recurrence_cdf/cdf.csv": "273e844d71d30d3cf71bf971357d7cd0d9ace1c5d09fce5675c3d52ad0a4e3bc",
+    "recurrence_cdf/manifest.txt": "8b8b88069ab98612f18f93ae4ae4fac21ed535507340082aa5efdeca9cc67004",
+    "renewal_function/status": "0",
+    "renewal_function/manifest.txt": "4b51966f282a977ca173642a06fa86f8ef7e1bf398f1d0aa83876f1844ab2263",
+    "renewal_function/renewal.csv": "e6eb38642294244083ef34e833b91df6eb5762193c88652c38962f05c4907bde",
+    "stationarity_check/status": "0",
+    "stationarity_check/manifest.txt": "dcc964061890399676d05f318ee0908f71254c1ceefc932e27f8475d5c21a860",
+    "stationarity_check/stationarity.csv": "09508d634b9309fac8fea0fdbee0b1a457e64e3d4a0ee684bf02da7373f03519",
+    "void_prob/status": "0",
+    "void_prob/manifest.txt": "e7d1ca86fb85515a063fc0984edb918c2766cd832e2229eb4cbb94be1edcd47c",
+    "void_prob/report.csv": "32123e693c39daff76a2d6bb991e825f9f337d9350a8f25203d8627aa609528f",
+    "window_mean/status": "0",
+    "window_mean/manifest.txt": "4d334e303b6206fdf21a16109cc1da21be5b69128c5a60feddaf3476cf3488d0",
+    "window_mean/report.csv": "7f3de4540e70d267b0c31bf2c036cdafb5747de92b954329c23ae9589347a071",
+}
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def point_text(p) -> str:
+    return f"{p.window!r} {p.overflow}\n" + p.to_csv()
+
+
+def path_outputs(preset):
+    """Hashes of a delayed marked path, its two flattenings, and a
+    stationary path with its origin index."""
+    spec = PRESETS[preset]()
+    m = sample_delayed_marked_renewal(spec, 300.0, guard_band(spec), RngStream(11))
+    s = sample_stationary_marked_renewal(spec, -20.0, 20.0, RngStream(12))
+    return {
+        f"{preset}/delayed.csv": sha(f"{m.window!r}\n" + m.to_csv()),
+        f"{preset}/flatten": sha(point_text(flatten(m, include_parents=False))),
+        f"{preset}/flatten_parents": sha(point_text(flatten(m, include_parents=True))),
+        f"{preset}/stationary.csv": sha(f"{s.window!r} {s.origin_index}\n" + s.to_csv()),
+    }
+
+
+def kind_outputs(kind, out_dir):
+    """Hashes of every file run_experiment writes for this kind at seed 1,
+    and its exit status."""
+    raw = parse_kv(f"experiment = {kind}\n" + KIND_CONFIGS[kind] + "seed = 1\n")
+    status = run_experiment(build_experiment_config(raw), out_dir, raw_config=raw)
+    out = {f"{kind}/status": str(status)}
+    for f in sorted(out_dir.iterdir()):
+        out[f"{kind}/{f.name}"] = sha(f.read_text(encoding="utf-8"))
+    return out
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_marked_paths_match_pins(preset):
+    got = path_outputs(preset)
+    assert got == {k: v for k, v in PINS.items() if k.startswith(f"{preset}/")}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_CONFIGS))
+def test_experiment_artifacts_match_pins(kind, tmp_path):
+    got = kind_outputs(kind, tmp_path)
+    assert got == {k: v for k, v in PINS.items() if k.startswith(f"{kind}/")}

@@ -7,9 +7,14 @@ from renewalcluster import (
     MarkedArrival,
     MarkedPattern,
     PointPattern,
+    RngStream,
     count_in,
     flatten,
+    gated_cluster_preset,
+    guard_band,
     restrict,
+    sample_delayed_marked_renewal,
+    sample_stationary_marked_renewal,
     shift,
 )
 from renewalcluster.errors import WindowError
@@ -113,58 +118,126 @@ class TestRestrict:
 
 
 def marked(arrivals, window=(-1.0, 10.0)):
-    return MarkedPattern(tuple(arrivals), window)
+    """MarkedPattern from (epoch, interarrival, offsets) triples."""
+    epochs, gaps, offsets = ([a[i] for a in arrivals] for i in range(3))
+    return MarkedPattern(epochs, gaps, [len(o) for o in offsets],
+                         [v for o in offsets for v in o], window)
+
+
+# a valid pattern: arrivals at 1 and 3, the first with two offsets
+VALID = dict(epochs=[1.0, 3.0], gaps=[1.0, 2.0], sizes=[2, 0], offsets=[-0.5, 1.0],
+             window=(-1.0, 10.0))
+
+# one case per validation rule: (fields replaced in VALID, expected message)
+INVALID = {
+    "window-empty": (dict(window=(5.0, 5.0)), "invalid window"),
+    "window-reversed": (dict(window=(10.0, -1.0)), "invalid window"),
+    "window-nan": (dict(window=(-1.0, np.nan)), "invalid window"),
+    "epoch-at-lo": (dict(epochs=[-1.0, 1.0]), "outside window"),
+    "epoch-beyond-hi": (dict(epochs=[8.0, 10.5], gaps=[8.0, 2.5]), "outside window"),
+    "epochs-decreasing": (dict(epochs=[3.0, 1.0]), "nondecreasing"),
+    "gap-inconsistent": (dict(gaps=[1.0, 1.5]), "inconsistent"),
+    "gap-beyond-rtol": (dict(gaps=[1.0, 2.0 + 1e-8]), "inconsistent"),
+    "gap-negative": (dict(gaps=[-1.0, 2.0]), "nonnegative"),
+    "gap-nan": (dict(gaps=[np.nan, 2.0]), "nonnegative"),
+    "epoch-inf": (dict(epochs=[1.0, np.inf]), "finite"),
+    "epoch-nan": (dict(epochs=[np.nan, 3.0]), "finite"),
+    "offset-inf": (dict(offsets=[-0.5, np.inf]), "finite"),
+    "size-negative": (dict(sizes=[3, -1]), "sum to len"),
+    "sizes-sum-short": (dict(sizes=[1, 0]), "sum to len"),
+    "sizes-sum-long": (dict(sizes=[2, 1]), "sum to len"),
+    "gaps-length": (dict(gaps=[1.0]), "one entry per arrival"),
+}
 
 
 class TestMarkedPattern:
+    def test_valid_base_pattern(self):
+        m = MarkedPattern(**VALID)
+        assert len(m) == 2
+        assert m.sizes.dtype == np.int64 and m.offsets.dtype == np.float64
+
+    @pytest.mark.parametrize("case", sorted(INVALID))
+    def test_validation_rule_rejects(self, case):
+        fields, message = INVALID[case]
+        with pytest.raises(ValueError, match=message):
+            MarkedPattern(**{**VALID, **fields})
+
+    def test_gap_within_rtol_accepted(self):
+        # 1e-9 below the 1e-9 * max(|e_i|, |e_{i-1}|, 1) = 3e-9 tolerance
+        assert len(MarkedPattern(**{**VALID, "gaps": [1.0, 2.0 + 1e-9]})) == 2
+
     def test_epoch_gap_must_match_interarrival(self):
-        a = MarkedArrival(1.0, 0, np.empty(0), 1.0)
-        bad = MarkedArrival(3.0, 0, np.empty(0), 1.5)  # gap is 2.0
         with pytest.raises(ValueError):
-            marked([a, bad])
+            marked([(1.0, 1.0, []), (3.0, 1.5, [])])  # gap is 2.0
 
     def test_offsets_length_checked(self):
         with pytest.raises(ValueError):
             MarkedArrival(1.0, 2, np.array([0.5]), 1.0)
 
     def test_csv_round_trip(self):
-        a = MarkedArrival(1.0, 2, np.array([-0.5, 1.0]), 1.0)
-        b = MarkedArrival(3.5, 0, np.empty(0), 2.5)
-        m = marked([a, b])
+        m = marked([(1.0, 1.0, [-0.5, 1.0]), (3.5, 2.5, [])])
         m2 = MarkedPattern.from_csv(m.to_csv(), m.window)
         assert len(m2) == 2
-        assert np.array_equal(m2.arrivals[0].offsets, a.offsets)
-        assert m2.arrivals[1].epoch == b.epoch
+        for name in ("epochs", "gaps", "sizes", "offsets"):
+            assert np.array_equal(getattr(m2, name), getattr(m, name))
+        assert np.array_equal(m2.arrivals[0].offsets, [-0.5, 1.0])
+        assert m2.arrivals[1].epoch == 3.5
+
+    def test_csv_row_size_checked(self):
+        text = "epoch,interarrival,cluster_size,offsets\n1.0,1.0,1,\n2.0,1.0,0,0.5\n"
+        with pytest.raises(ValueError):
+            MarkedPattern.from_csv(text, (0.0, 10.0))
+
+    def test_arrivals_view(self):
+        m = MarkedPattern(**VALID)
+        a, b = m.arrivals
+        assert (a.epoch, a.interarrival, a.cluster_size) == (1.0, 1.0, 2)
+        assert np.array_equal(a.offsets, [-0.5, 1.0])
+        assert (b.epoch, b.interarrival, b.cluster_size) == (3.0, 2.0, 0)
+        assert m.arrivals is m.arrivals  # built once
+
+    def test_sampling_builds_no_arrival_objects(self, monkeypatch):
+        calls = []
+        post_init = MarkedArrival.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(MarkedArrival, "__post_init__", counted)
+        spec = gated_cluster_preset()
+        m = sample_delayed_marked_renewal(spec, 200.0, guard_band(spec), RngStream(5))
+        s = sample_stationary_marked_renewal(spec, -10.0, 10.0, RngStream(6))
+        for parents in (False, True):
+            flatten(m, parents)
+            flatten(s, parents)
+        assert len(m) > 50 and len(s) > 5
+        assert calls == []
+        # the counter works: asking for the arrivals builds one per arrival
+        assert len(m.arrivals) == len(calls)
 
 
 class TestFlatten:
     def test_all_empty_clusters(self):
-        a = MarkedArrival(1.0, 0, np.empty(0), 1.0)
-        p = flatten(marked([a]), include_parents=False)
+        p = flatten(marked([(1.0, 1.0, [])]), include_parents=False)
         assert len(p) == 0
 
     def test_parent_and_offsets(self):
-        a = MarkedArrival(2.0, 2, np.array([-0.5, 1.0]), 2.0)
-        p = flatten(marked([a]), include_parents=True)
+        p = flatten(marked([(2.0, 2.0, [-0.5, 1.0])]), include_parents=True)
         assert np.allclose(p.points, [1.5, 2.0, 3.0])
 
     def test_parent_toggle_changes_count_by_arrivals(self):
-        a = MarkedArrival(2.0, 2, np.array([-0.5, 1.0]), 2.0)
-        b = MarkedArrival(5.0, 1, np.array([0.25]), 3.0)
-        m = marked([a, b])
+        m = marked([(2.0, 2.0, [-0.5, 1.0]), (5.0, 3.0, [0.25])])
         assert len(flatten(m, True)) - len(flatten(m, False)) == 2
 
     def test_overflow_tally(self):
         # one offset lands beyond the window and must be tallied, not lost
-        a = MarkedArrival(9.0, 2, np.array([0.5, 2.0]), 9.0)
-        p = flatten(marked([a]), include_parents=True)
+        p = flatten(marked([(9.0, 9.0, [0.5, 2.0])]), include_parents=True)
         assert np.allclose(p.points, [9.0, 9.5])
         assert p.overflow == 1
 
     def test_count_identity(self):
-        a = MarkedArrival(2.0, 3, np.array([-0.5, 0.0, 1.0]), 2.0)
-        b = MarkedArrival(4.0, 2, np.array([0.1, 0.2]), 2.0)
-        m = marked([a, b])
+        m = marked([(2.0, 2.0, [-0.5, 0.0, 1.0]), (4.0, 2.0, [0.1, 0.2])])
         for parents in (False, True):
             p = flatten(m, parents)
             total = 5 + (2 if parents else 0)
