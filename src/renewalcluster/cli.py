@@ -13,14 +13,13 @@ the config and seed.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 from .config import _take, build_experiment_config, build_process_spec, parse_kv
 from .errors import ConfigError, RenewalClusterError
 from .process import sample_renewal_cluster_process
-from .runner import STATUS_CONFIG, STATUS_RUNTIME, run_experiment
+from .runner import STATUS_CONFIG, STATUS_RUNTIME, _finite, run_experiment
 from .streams import stream_for
 
 __all__ = ["main"]
@@ -39,10 +38,10 @@ def _cmd_simulate(args) -> int:
     used = set()
     spec = build_process_spec(raw, used)
     seed = _take(raw, used, "seed", int, default=0)
-    lo = _take(raw, used, "window.lo", float, required=True)
-    hi = _take(raw, used, "window.hi", float, required=True)
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ConfigError(f"need finite window.lo < window.hi, got ({lo}, {hi}]")
+    lo = _take(raw, used, "window.lo", _finite, required=True)
+    hi = _take(raw, used, "window.hi", _finite, required=True)
+    if not lo < hi:
+        raise ConfigError(f"need window.lo < window.hi, got ({lo}, {hi}]")
     unknown = set(raw) - used
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")

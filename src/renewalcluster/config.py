@@ -19,7 +19,7 @@ from .clusters import (
 from .errors import ConfigError, LawError
 from .laws import Exponential, FixedCount, GammaLaw, PoissonCount, Uniform
 from .process import ProcessSpec
-from .runner import KINDS
+from .runner import KINDS, _finite
 
 __all__ = ["ExperimentConfig", "parse_kv", "build_process_spec", "build_experiment_config"]
 
@@ -59,7 +59,7 @@ def _take(d, used, key, parser, default=None, required=False):
         try:
             return parser(d[key])
         except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad value for {key!r}: {d[key]!r}") from exc
+            raise ConfigError(f"bad value for {key!r}: {d[key]!r} ({exc})") from exc
     if required:
         raise ConfigError(f"missing required key {key!r}")
     return default
@@ -77,16 +77,16 @@ def _law(d, used, prefix):
     kind = _take(d, used, f"{prefix}.kind", str, required=True)
     try:
         if kind == "exponential":
-            return Exponential(_take(d, used, f"{prefix}.rate", float, required=True))
+            return Exponential(_take(d, used, f"{prefix}.rate", _finite, required=True))
         if kind == "uniform":
             return Uniform(
-                _take(d, used, f"{prefix}.lo", float, required=True),
-                _take(d, used, f"{prefix}.hi", float, required=True),
+                _take(d, used, f"{prefix}.lo", _finite, required=True),
+                _take(d, used, f"{prefix}.hi", _finite, required=True),
             )
         if kind == "gamma":
             return GammaLaw(
-                _take(d, used, f"{prefix}.shape", float, required=True),
-                _take(d, used, f"{prefix}.scale", float, required=True),
+                _take(d, used, f"{prefix}.shape", _finite, required=True),
+                _take(d, used, f"{prefix}.scale", _finite, required=True),
             )
     except LawError as exc:
         raise ConfigError(str(exc)) from exc
@@ -97,7 +97,7 @@ def _count_law(d, used, prefix):
     kind = _take(d, used, f"{prefix}.kind", str, required=True)
     try:
         if kind == "poisson":
-            return PoissonCount(_take(d, used, f"{prefix}.rate", float, required=True))
+            return PoissonCount(_take(d, used, f"{prefix}.rate", _finite, required=True))
         if kind == "fixed":
             return FixedCount(_take(d, used, f"{prefix}.value", int, required=True))
     except LawError as exc:
@@ -115,9 +115,9 @@ def _cluster(d, used, prefix):
         return CumulativeStepCluster(size, step)
     if kind == "gated_normal":
         return GatedNormalCluster(
-            threshold=_take(d, used, f"{prefix}.threshold", float, default=1.0),
-            rate_above=_take(d, used, f"{prefix}.rate_above", float, default=0.5),
-            rate_below=_take(d, used, f"{prefix}.rate_below", float, default=5.0),
+            threshold=_take(d, used, f"{prefix}.threshold", _finite, default=1.0),
+            rate_above=_take(d, used, f"{prefix}.rate_above", _finite, default=0.5),
+            rate_below=_take(d, used, f"{prefix}.rate_below", _finite, default=5.0),
         )
     raise ConfigError(f"unknown {prefix}.kind {kind!r}")
 

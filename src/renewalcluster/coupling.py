@@ -8,13 +8,22 @@ between their current epochs performs a symmetric nonarithmetic random
 walk.  The walk is recurrent, so it eventually enters [0, epsilon); from
 that step on the two processes stay epsilon-close with identical marks.
 
-Draw order: after the two starting epochs, each block of 2^14 shared steps
-draws its 2^14 gaps from the interarrival law, then 2^14 raw 64-bit words.
-A step is +1 when its word's top bit is clear (the event ``random() < 0.5``
-at that stream position).  The stored path keeps V_i for every i <= 10^4,
-then in octave k, 10^4 2^(k-1) < i <= 10^4 2^k, the i divisible by 2^k.
-Walks, paths and the draws left after tau are bit-identical to those of
-the earlier kernel that masked every step (tests/data/walk_parity.json).
+Draw order: after the two starting epochs, the shared steps come in
+blocks.  A block starting at step s holds min(2^14, cap - s) steps while
+the walk runs, and 2^14 steps in the continuation past tau; it draws its
+gaps from the interarrival law, then as many raw 64-bit words.  A step is
++1 when its word's top bit is clear (the event ``random() < 0.5`` at that
+stream position).  The stored path keeps V_i for every i <= 10^4, then in
+octave k, 10^4 2^(k-1) < i <= 10^4 2^k, the i divisible by 2^k.
+
+The layout is fixed; only the reading is lazy.  ``_SharedSteps`` hands the
+steps out in chunks and materializes only those the walk reads: a
+Uniform law takes one word per gap, so the first block's gaps are drawn
+as read and its sign words come from a second Philox placed a block
+ahead (the stream is counter-based); other laws draw the block's gaps at
+once and read the sign words as needed.  Walks, paths and the draws left
+after tau are bit-identical to those of the earlier kernels that drew
+whole blocks (tests/data/walk_parity.json, walk_parity_laws.json).
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .laws import Uniform
 from .process import ProcessSpec
 from .stationary import DEFAULT_POOL, _size_biased_gaps
 from .stats import KsReport, two_sample_ks
@@ -39,6 +49,11 @@ __all__ = [
 ]
 
 _BLOCK = 1 << 14
+# The walk's first chunk, near the median tau of criterion 8's walks
+# (1040 steps).  A chunk costs about 20 us of numpy calls besides its
+# draws; a pair of such walks costs least, in the mean and the median,
+# with 1024 among 256 to 2048.
+_FIRST_CHUNK = 1024
 _DENSE_PATH = 10_000
 _SIGN = np.uint64(1 << 63)
 
@@ -103,6 +118,75 @@ def _signed_gaps(law, g, n):
     return x
 
 
+def _ahead(g, words):
+    """A generator on g's Philox stream, ``words`` 64-bit words ahead of
+    g's next one; g itself does not move.
+
+    Word w of the stream is lane w % 4 of counter w // 4 + 1, and a state
+    (counter c, buffer_pos p) reads word 4 (c - 1) + p next.
+    """
+    state = g.bit_generator.state
+    counter = int.from_bytes(state["state"]["counter"].astype("<u8").tobytes(), "little")
+    w = 4 * (counter - 1) + state["buffer_pos"] + words
+    h = np.random.Philox(counter=w // 4, key=state["state"]["key"])
+    h.random_raw(w % 4)
+    return np.random.Generator(h)
+
+
+class _SharedSteps:
+    """The shared signed steps of one walk and its continuation, read in
+    stream order and materialized only as far as they are read.
+
+    The one reader of the layout: a block starting at step s holds
+    min(2^14, cap - s) steps (2^14 once s >= cap or the walk has ended),
+    its gaps first, then as many sign words.  ``take`` never crosses a
+    block end; ``block[:drawn]`` are the current block's steps so far.
+    """
+
+    def __init__(self, law, g, cap):
+        self.law, self.g, self.cap = law, g, cap
+        self.start = self.size = self.read = self.drawn = 0
+        self.block = self.signs = None
+        self.lazy = False
+
+    def end_walk(self, read):
+        """The walk stopped after step ``read`` of the current block: the
+        continuation reads on from there, in blocks the cap never cuts."""
+        self.read = read
+        self.cap = 0
+
+    def take(self, n):
+        """The next min(n, steps left in the block) steps, opening the next
+        block when the current one is used up."""
+        if self.read == self.size:
+            self._open()
+        a, b = self.read, min(self.read + n, self.size)
+        if b > self.drawn:
+            x = self.block[self.drawn : b]
+            if self.lazy:
+                x[:] = self.law.sample(self.g, x.size)
+            bits = x.view(np.uint64)
+            bits ^= self.signs.bit_generator.random_raw(x.size) & _SIGN
+            self.drawn = b
+            if b == self.size:
+                self.g = self.signs
+        self.read = b
+        return self.block[a:b]
+
+    def _open(self):
+        self.start += self.size
+        self.size = min(_BLOCK, self.cap - self.start) if self.start < self.cap else _BLOCK
+        self.read = self.drawn = 0
+        # Uniform takes one word per gap and its draws are prefix-consistent
+        self.lazy = self.start == 0 and type(self.law) is Uniform
+        if self.lazy:
+            self.block = np.empty(self.size)
+            self.signs = _ahead(self.g, self.size)
+        else:
+            self.block = np.asarray(self.law.sample(self.g, self.size), dtype=np.float64)
+            self.signs = self.g
+
+
 def _kept_indices(a, b):
     """Path indices in [a, b] kept by the thinning: every index up to 10^4,
     then in octave k, (10^4 2^(k-1), 10^4 2^k], the multiples of 2^k."""
@@ -130,43 +214,62 @@ def _walk(spec, epsilon, steps_cap, g, t0, t_delayed):
     """Run the shared walk until it enters [0, epsilon) or the cap.
 
     Returns (tau, v_tau, plus_count, sum_plus, sum_minus, path, path_idx,
-    leftover) where leftover holds the unconsumed signed gaps of the final
-    block: those draws are part of the shared sequence and feed the
+    steps) where steps is the walk's ``_SharedSteps``, positioned just past
+    tau: the draws after it are part of the shared sequence and feed the
     post-coupling reconstruction.
+
+    Chunks grow with the steps done (1024, 1024, 2048, ... up to a
+    block), so they tile each block.  Partial sums restart at every block and run
+    on sequentially inside it, so V_i and the |gap| sums match a kernel
+    that summed whole blocks, bit for bit.
     """
     law = spec.interarrival
     v0 = t0 - t_delayed
     path = [np.array([v0])]
     path_idx = [np.array([0])]
     if 0.0 <= v0 < epsilon:
-        return 0, v0, 0, 0.0, 0.0, path, path_idx, np.empty(0)
-    v = v0
+        return 0, v0, 0, 0.0, 0.0, path, path_idx, _SharedSteps(law, g, 0)
+    steps = _SharedSteps(law, g, steps_cap)
+    v = v0  # V at the start of the current block
+    c = 0.0  # partial sum of the current block so far
     done = 0
     total = 0.0
     minus = 0
     while done < steps_cap:
-        n = min(_BLOCK, steps_cap - done)
-        steps = _signed_gaps(law, g, n)
-        vs = np.cumsum(steps)
+        x = steps.take(min(max(_FIRST_CHUNK, done), steps_cap - done))
+        n = x.size
+        at = steps.read - n  # where the chunk starts in its block
+        if at == 0:
+            vs = np.cumsum(x)
+        else:
+            vs = x.copy()
+            vs[0] += c
+            np.cumsum(vs, out=vs)
+        c = vs[-1]
         vs += v
-        hits = np.flatnonzero((vs >= 0.0) & (vs < epsilon))
-        stop = int(hits[0]) if hits.size else n - 1
+        inside = (vs >= 0.0) & (vs < epsilon)
+        stop = int(inside.argmax())
+        hit = bool(inside[stop])
+        if not hit:
+            stop = n - 1
         idx = _kept_indices(done + 1, done + stop + 1)
         path.append(vs[idx - (done + 1)])
         path_idx.append(idx)
-        head = steps[: stop + 1]
-        total += float(np.abs(head).sum())
-        minus += int(np.count_nonzero(np.signbit(head)))
-        if hits.size:
+        if hit or steps.read == steps.size:
+            # |gap| sum and minus count per block, up to tau in the last one
+            head = steps.block[: at + stop + 1]
+            total += float(np.abs(head).sum())
+            minus += int(np.count_nonzero(np.signbit(head)))
+            v = float(vs[stop])
+        if hit:
+            steps.end_walk(at + stop + 1)
             tau = done + stop + 1
-            v_tau = float(vs[stop])
             # plus and minus sums from the total |gap| and V_tau - V_0
-            d = v_tau - v0
+            d = v - v0
             sums = (total + d) / 2, (total - d) / 2
-            return tau, v_tau, tau - minus, *sums, path, path_idx, steps[stop + 1 :]
-        v = float(vs[-1])
+            return tau, v, tau - minus, *sums, path, path_idx, steps
         done += n
-    return None, None, None, None, None, path, path_idx, np.empty(0)
+    return None, None, None, None, None, path, path_idx, steps
 
 
 def run_coupling(
@@ -228,18 +331,20 @@ def post_coupling_agreement(
         raise ValueError("k_checks must be >= 0")
     g = rng.generator()
     t0, t_delayed = _draw_starts(spec, g, pool_size, start_override)
-    tau, v_tau, plus_count, sum_plus, sum_minus, _, _, leftover = _walk(
+    tau, v_tau, plus_count, sum_plus, sum_minus, _, _, steps = _walk(
         spec, epsilon, steps_cap, g, t0, t_delayed
     )
     if tau is None:
         return AgreementReport(epsilon, None, k_checks, (), None, capped=True)
 
     # shared +1-signed gaps continuing past tau
-    ys = leftover[~np.signbit(leftover)]
-    while ys.size < k_checks:
-        more = _signed_gaps(spec.interarrival, g, _BLOCK)
-        ys = np.concatenate([ys, more[~np.signbit(more)]])
-    ys = ys[:k_checks]
+    ys = [np.empty(0)]
+    need = k_checks
+    while need:
+        x = steps.take(3 * need)  # about half the steps are +1
+        ys.append(x[~np.signbit(x)][:need])
+        need -= ys[-1].size
+    ys = np.concatenate(ys)
     # np.cumsum adds in sequence, as the arrivals do one by one
     stationary_epochs = np.cumsum(np.concatenate(([t0 + sum_plus], ys)))
     delayed_epochs = np.cumsum(np.concatenate(([t_delayed + sum_minus], ys)))

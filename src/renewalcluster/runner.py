@@ -15,6 +15,7 @@ the manifest), so reruns with the same config and seed are byte-identical.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -133,15 +134,16 @@ def _key_renewal(spec, p, n_rep, rng):
 
 
 def _coupling(spec, p, n_rep, rng):
-    runs = [
-        run_coupling(spec, p["epsilon"], p["steps_cap"], rng.substream(r))
-        for r in range(n_rep)
-    ]
+    eps, cap = p["epsilon"], p["steps_cap"]
+    runs = [run_coupling(spec, eps, cap, rng.substream(r)) for r in range(n_rep)]
     finite = sum(1 for r in runs if not r.capped) / len(runs)
-    agree = post_coupling_agreement(
-        spec, p["epsilon"], p["k_checks"], rng.substream(n_rep)
-    )
-    ok = finite >= p["min_finite"] and agree.passed
+    # agreement is checked on the first run that coupled; with none there
+    # is nothing to check and the coupled fraction alone decides
+    first = next((r for r, run in enumerate(runs) if not run.capped), None)
+    agreed = first is None or post_coupling_agreement(
+        spec, eps, p["k_checks"], rng.substream(first), steps_cap=cap
+    ).passed
+    ok = finite >= p["min_finite"] and agreed
     return (STATUS_OK if ok else STATUS_FAIL), {"coupling.csv": coupling_runs_to_csv(runs)}, None
 
 
@@ -183,8 +185,22 @@ def _flip_test(spec, p, n_rep, rng):
     return (STATUS_OK if ok else STATUS_FAIL), {"flip.csv": "\n".join(lines) + "\n"}, None
 
 
+def _finite(s: str) -> float:
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError("must be finite")
+    return x
+
+
 def _floats(s: str):
-    return tuple(float(p) for p in s.split(",") if p.strip())
+    return tuple(_finite(p) for p in s.split(",") if p.strip())
+
+
+def _shifts(s: str):
+    shifts = _floats(s)
+    if len(shifts) < 2:
+        raise ValueError("need at least two shifts to compare")
+    return shifts
 
 
 def _pieces(s: str):
@@ -192,7 +208,7 @@ def _pieces(s: str):
     out = []
     for part in s.split(";"):
         a, b, h = part.split(":")
-        out.append((float(a), float(b), float(h)))
+        out.append((_finite(a), _finite(b), _finite(h)))
     return tuple(out)
 
 
@@ -207,23 +223,25 @@ class Kind(NamedTuple):
 
 
 KINDS = {
-    "window_mean": Kind({"t": float, "x": float}, _reported(estimate_window_mean)),
-    "elementary": Kind({"t": float}, _reported(estimate_elementary_ratio)),
-    "recurrence_cdf": Kind({"t": float, "grid": _floats, "tol": (float, 0.01)}, _recurrence_cdf),
-    "void_prob": Kind({"t": float, "x": float}, _reported(estimate_void_probability)),
+    "window_mean": Kind({"t": _finite, "x": _finite}, _reported(estimate_window_mean)),
+    "elementary": Kind({"t": _finite}, _reported(estimate_elementary_ratio)),
+    "recurrence_cdf": Kind(
+        {"t": _finite, "grid": _floats, "tol": (_finite, 0.01)}, _recurrence_cdf
+    ),
+    "void_prob": Kind({"t": _finite, "x": _finite}, _reported(estimate_void_probability)),
     "renewal_function": Kind({"grid": _floats}, _renewal_function),
     "key_renewal": Kind(
-        {"t": float, "grid": _floats, "g": _pieces, "rel_tol": (float, 0.02)}, _key_renewal
+        {"t": _finite, "grid": _floats, "g": _pieces, "rel_tol": (_finite, 0.02)}, _key_renewal
     ),
     "coupling": Kind(
-        {"epsilon": float, "steps_cap": (int, 10**7), "k_checks": (int, 100),
-         "min_finite": (float, 0.99)},
+        {"epsilon": _finite, "steps_cap": (int, 10**7), "k_checks": (int, 100),
+         "min_finite": (_finite, 0.99)},
         _coupling,
     ),
     "stationarity_check": Kind(
-        {"shifts": _floats, "x": (float, 1.0), "alpha": (float, 0.01)}, _stationarity_check
+        {"shifts": _shifts, "x": (_finite, 1.0), "alpha": (_finite, 0.01)}, _stationarity_check
     ),
     "flip_test": Kind(
-        {"n": int, "ones_needed": (int, 2), "alpha": (float, 0.01)}, _flip_test, needs_spec=False
+        {"n": int, "ones_needed": (int, 2), "alpha": (_finite, 0.01)}, _flip_test, needs_spec=False
     ),
 }

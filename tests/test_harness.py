@@ -351,6 +351,50 @@ class TestCli:
         assert main(["coupling", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "coupling.csv").exists()
 
+    COUPLING_CONFIG = (
+        "experiment = coupling\ninterarrival.kind = uniform\ninterarrival.lo = 0\n"
+        "interarrival.hi = 5\ncluster.kind = gated_normal\ndelay.kind = same\n"
+        "epsilon = 0.1\nsteps_cap = 100\n"
+    )
+
+    def test_coupling_agreement_uses_the_configured_cap(self, tmp_path):
+        # seed 30: the one run couples at tau 67; an agreement walked on
+        # another substream at the default cap of 10^7 was capped there
+        # and failed the experiment
+        cfg = self._write(tmp_path, self.COUPLING_CONFIG + "min_finite = 0\nn_rep = 1\nseed = 30\n")
+        out = tmp_path / "cpl"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "coupling.csv").read_text() == (
+            "epsilon,tau,coupling_time,capped\n0.1,67,82.0278668022959,false\n"
+        )
+
+    def test_coupling_below_min_finite_exit_one(self, tmp_path):
+        # negative control: at a cap of 100 steps most walks are capped
+        cfg = self._write(tmp_path, self.COUPLING_CONFIG + "min_finite = 1\nn_rep = 20\nseed = 30\n")
+        out = tmp_path / "cpl"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        assert "true" in (out / "coupling.csv").read_text()
+
+    def test_stationarity_check_needs_two_shifts(self, tmp_path, capsys):
+        text = (GATED_CONFIG.replace("experiment = window_mean", "experiment = stationarity_check")
+                .replace("t = 20\nx = 1\n", "shifts = 0\n"))
+        cfg = self._write(tmp_path, text)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "at least two shifts" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("change", [
+        ("t = 20", "t = inf"),
+        ("t = 20", "t = -inf"),
+        ("t = 20", "t = nan"),
+        ("interarrival.hi = 5", "interarrival.hi = inf"),
+    ], ids=["t-inf", "t-minus-inf", "t-nan", "interarrival-hi-inf"])
+    def test_non_finite_float_exit_two(self, tmp_path, change, capsys):
+        assert change[0] in GATED_CONFIG
+        cfg = self._write(tmp_path, GATED_CONFIG.replace(*change))
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
     def test_report_prints_directory(self, tmp_path, capsys):
         cfg = self._write(tmp_path, GATED_CONFIG)
         out = str(tmp_path / "out")

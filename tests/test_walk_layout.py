@@ -1,0 +1,174 @@
+"""The shared-step layout of the coupling walk, read lazily.
+
+``data/walk_parity_laws.json`` was written by renewalcluster at commit
+6f4976f, whose walk drew every block whole.  It holds walks at epsilon 0.1
+for Uniform(0, 5), Exponential(0.4), Gamma(2.5, 1) and a 1:1 mixture of
+Exponential(1) and Uniform(0, 8) gaps (each law's own delay, no clusters),
+substreams 0-9 of ``stream_for(5, law)`` at caps 1, 300, 2^14, 2^14 + 1
+and 20,000 and substreams 0-5 at 10^5; and for each cap two agreements on
+walks that coupled (one with k_checks 20,000, more plus-gaps than a block
+holds), one on a capped walk, and two from equal starts (tau 0), each
+with the sha256 of the first 40,000 signed steps after tau.  Every
+recorded float, the coupling time and the agreement's max gap included,
+must match to the bit.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from renewalcluster import Exponential, GammaLaw, Mixture, Uniform, stream_for
+from renewalcluster.clusters import EmptyCluster
+from renewalcluster.coupling import (
+    _FIRST_CHUNK,
+    _ahead,
+    _draw_starts,
+    _walk,
+    post_coupling_agreement,
+    run_coupling,
+)
+from renewalcluster.process import ProcessSpec
+from renewalcluster.stationary import DEFAULT_POOL
+
+TABLE = json.loads((Path(__file__).parent / "data" / "walk_parity_laws.json").read_text())
+EPS = TABLE["epsilon"]
+LAWS = {
+    "uniform": Uniform(0.0, 5.0),
+    "exponential": Exponential(0.4),
+    "gamma": GammaLaw(2.5, 1.0),
+    "mixture": Mixture(((0.5, Exponential(1.0)), (0.5, Uniform(0.0, 8.0)))),
+}
+
+
+def _spec(name):
+    law = LAWS[name]
+    return ProcessSpec(interarrival=law, cluster=EmptyCluster(), delay=law)
+
+
+def _rng(rec):
+    return stream_for(TABLE["stream_seed"], rec["law"]).substream(rec["substream"])
+
+
+def _sha(a):
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+def _hex(x):
+    return None if x is None else x.hex()
+
+
+@pytest.mark.parametrize(
+    "rec", TABLE["walks"], ids=[f"{w['law']}-s{w['substream']}-cap{w['cap']}" for w in TABLE["walks"]]
+)
+def test_walk_matches_recorded(rec):
+    run = run_coupling(_spec(rec["law"]), EPS, rec["cap"], _rng(rec))
+    assert run.tau == rec["tau"]
+    assert _hex(run.v_tau) == rec["v_tau"]
+    assert run.l_tau == rec["l_tau"]
+    assert _hex(run.coupling_time) == rec["coupling_time"]
+    assert run.v_path.size == rec["path_points"]
+    assert _sha(run.v_path) == rec["v_path_sha256"]
+    assert _sha(run.v_path_indices) == rec["v_path_indices_sha256"]
+
+
+@pytest.mark.parametrize(
+    "rec",
+    TABLE["agreements"],
+    ids=[f"{a['law']}-s{a['substream']}-cap{a['cap']}-k{a['k_checks']}"
+         + ("-equal" if a["start_override"] else "") for a in TABLE["agreements"]],
+)
+def test_agreement_matches_recorded(rec):
+    start = rec["start_override"]
+    rep = post_coupling_agreement(
+        _spec(rec["law"]), EPS, rec["k_checks"], _rng(rec), steps_cap=rec["cap"],
+        start_override=None if start is None else tuple(start),
+    )
+    assert rep.tau == rec["tau"]
+    assert list(rep.violations) == rec["violations"]
+    assert _hex(rep.max_gap) == rec["max_gap"]
+
+
+def _continuation(rec, n=40_000):
+    """The first n shared steps after tau, read in uneven chunks."""
+    spec = _spec(rec["law"])
+    g = _rng(rec).generator()
+    start = rec["start_override"]
+    t0, t_delayed = _draw_starts(spec, g, DEFAULT_POOL, None if start is None else tuple(start))
+    *_, steps = _walk(spec, EPS, rec["cap"], g, t0, t_delayed)
+    parts, chunk = [], 1
+    while n:
+        parts.append(steps.take(min(chunk, n)).copy())
+        n -= parts[-1].size
+        chunk = 3 * chunk + 1
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize(
+    "rec",
+    [a for a in TABLE["agreements"] if a["tau"] is not None],
+    ids=lambda a: f"{a['law']}-s{a['substream']}-cap{a['cap']}"
+    + ("-equal" if a["start_override"] else ""),
+)
+def test_continuation_matches_recorded(rec):
+    assert _sha(_continuation(rec)) == rec["continuation_sha256"]
+
+
+def test_table_covers_the_layout():
+    """The recorded walks hit in the first chunk, later in the first
+    block, in a later block, and get capped; agreements read past a block."""
+    taus = [w["tau"] for w in TABLE["walks"]]
+    assert any(t is not None and 0 < t <= _FIRST_CHUNK for t in taus)
+    assert any(t is not None and 2 * _FIRST_CHUNK < t <= 2**14 for t in taus)
+    assert any(t is not None and t > 2**14 for t in taus)
+    assert None in taus
+    assert any(a["tau"] is not None and a["k_checks"] > 2**14 for a in TABLE["agreements"])
+
+
+KEY = [0x243F6A8885A308D3, 0x13198A2E03707344]
+OFFSETS = [0, 1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 16383, 16384, 16385]
+
+
+@pytest.mark.parametrize("base", [0, 2**64 - 3], ids=["counter0", "carry"])
+@pytest.mark.parametrize("buffer_pos", [0, 1, 2, 3, 4])
+def test_ahead_reads_the_straight_stream(base, buffer_pos):
+    """_ahead(g, d) reads on from word d past g's next one, for every
+    buffer position and across counter (and 64-bit carry) boundaries."""
+    ref = np.random.Philox(counter=base, key=KEY).random_raw(16385 + 32)
+    for drawn in (1, 4, 5, 8):
+        g = np.random.Generator(np.random.Philox(counter=base, key=KEY))
+        g.bit_generator.random_raw(drawn)
+        nxt = drawn
+        state = g.bit_generator.state
+        if buffer_pos == 0:
+            if state["buffer_pos"] != 1:
+                continue
+            state["buffer_pos"] = 0  # lane 0 of the loaded counter, read again
+            g.bit_generator.state = state
+            nxt = drawn - 1
+        elif state["buffer_pos"] != buffer_pos:
+            g.bit_generator.random_raw((buffer_pos - state["buffer_pos"]) % 4)
+            nxt = drawn + (buffer_pos - state["buffer_pos"]) % 4
+        assert g.bit_generator.state["buffer_pos"] == buffer_pos
+        for d in OFFSETS:
+            h = _ahead(g, d)
+            assert np.array_equal(h.bit_generator.random_raw(6), ref[nxt + d : nxt + d + 6])
+        # g itself has not moved
+        assert np.array_equal(g.bit_generator.random_raw(2), ref[nxt : nxt + 2])
+
+
+@pytest.mark.parametrize("n", [1, 3, 256, 1000])
+def test_uniform_takes_one_word_per_variate_and_is_prefix_consistent(n):
+    """The lazy first block rests on both; a numpy stream change that broke
+    either would change walks silently, so it fails here."""
+    law = Uniform(0.0, 5.0)
+    whole = np.random.Generator(np.random.Philox(key=KEY))
+    x = law.sample(whole, n)
+    words = np.random.Philox(key=KEY).random_raw(n + 1)
+    assert whole.bit_generator.random_raw() == words[n]
+    parts = np.random.Generator(np.random.Philox(key=KEY))
+    k = n // 3
+    y = np.concatenate([law.sample(parts, k), law.sample(parts, n - k)])
+    assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
