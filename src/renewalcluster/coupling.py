@@ -24,6 +24,13 @@ ahead (the stream is counter-based); other laws draw the block's gaps at
 once and read the sign words as needed.  Walks, paths and the draws left
 after tau are bit-identical to those of the earlier kernels that drew
 whole blocks (tests/data/walk_parity.json, walk_parity_laws.json).
+
+Each walk is walked once.  ``run_coupling`` leaves the finished walk, its
+reader positioned just past tau, in a one-shot module-private slot keyed
+by its arguments (spec, epsilon, steps_cap, rng, start_override,
+pool_size).  The next ``post_coupling_agreement`` clears the slot and, when
+the key matches, reads on from that reader, the one a fresh walk would
+rebuild, so its report equals that of a fresh walk bit for bit.
 """
 
 from __future__ import annotations
@@ -56,6 +63,10 @@ _BLOCK = 1 << 14
 _FIRST_CHUNK = 1024
 _DENSE_PATH = 10_000
 _SIGN = np.uint64(1 << 63)
+# The walk handoff: "walk" -> (key, spec, (t0, t_delayed, tau, sum_plus,
+# sum_minus, reader)) of the last run_coupling.  A reader can be read on
+# only once, so every post_coupling_agreement pops it (an atomic take).
+_handoff = {}
 
 
 @dataclass(frozen=True)
@@ -210,6 +221,15 @@ def _draw_starts(spec, g, pool_size, start_override):
     return t0, t_delayed
 
 
+def _walk_key(epsilon, steps_cap, rng, start_override, pool_size):
+    """The arguments besides the spec that fix a walk (the spec is matched
+    by identity).  ``start_override`` becomes two floats, as
+    ``_draw_starts`` reads it; a numpy array would make ``==`` ambiguous."""
+    if start_override is not None:
+        start_override = (float(start_override[0]), float(start_override[1]))
+    return epsilon, steps_cap, rng, start_override, pool_size
+
+
 def _walk(spec, epsilon, steps_cap, g, t0, t_delayed):
     """Run the shared walk until it enters [0, epsilon) or the cap.
 
@@ -291,8 +311,13 @@ def run_coupling(
         raise ValueError("steps_cap must be >= 1")
     g = rng.generator()
     t0, t_delayed = _draw_starts(spec, g, pool_size, start_override)
-    tau, v_tau, plus_count, sum_plus, sum_minus, path, path_idx, _ = _walk(
+    tau, v_tau, plus_count, sum_plus, sum_minus, path, path_idx, steps = _walk(
         spec, epsilon, steps_cap, g, t0, t_delayed
+    )
+    _handoff["walk"] = (
+        _walk_key(epsilon, steps_cap, rng, start_override, pool_size),
+        spec,
+        (t0, t_delayed, tau, sum_plus, sum_minus, steps),
     )
     coupled = tau is not None
     return CouplingRun(
@@ -326,14 +351,26 @@ def post_coupling_agreement(
     shared sequence: each +1-signed gap advances both copies by the same
     value, and the attached mark is the same draw, so mark equality is
     exact by construction; the epoch gap is checked numerically.
+
+    Every call takes and clears the walk ``run_coupling`` left behind.
+    When that run had the same spec (the same object), epsilon,
+    steps_cap, rng, start_override (compared as two floats) and
+    pool_size, the continuation is read from its reader, positioned past
+    tau, instead of walking again; otherwise the walk is walked here.
+    Either way the report equals that of a fresh walk, bit for bit.
     """
     if k_checks < 0:
         raise ValueError("k_checks must be >= 0")
-    g = rng.generator()
-    t0, t_delayed = _draw_starts(spec, g, pool_size, start_override)
-    tau, v_tau, plus_count, sum_plus, sum_minus, _, _, steps = _walk(
-        spec, epsilon, steps_cap, g, t0, t_delayed
-    )
+    key = _walk_key(epsilon, steps_cap, rng, start_override, pool_size)
+    slot = _handoff.pop("walk", None)
+    if slot is not None and slot[1] is spec and slot[0] == key:
+        t0, t_delayed, tau, sum_plus, sum_minus, steps = slot[2]
+    else:
+        g = rng.generator()
+        t0, t_delayed = _draw_starts(spec, g, pool_size, start_override)
+        tau, _, _, sum_plus, sum_minus, _, _, steps = _walk(
+            spec, epsilon, steps_cap, g, t0, t_delayed
+        )
     if tau is None:
         return AgreementReport(epsilon, None, k_checks, (), None, capped=True)
 

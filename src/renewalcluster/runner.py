@@ -135,14 +135,17 @@ def _key_renewal(spec, p, n_rep, rng):
 
 def _coupling(spec, p, n_rep, rng):
     eps, cap = p["epsilon"], p["steps_cap"]
-    runs = [run_coupling(spec, eps, cap, rng.substream(r)) for r in range(n_rep)]
+    runs, agreement = [], None
+    for r in range(n_rep):
+        stream = rng.substream(r)
+        runs.append(run_coupling(spec, eps, cap, stream))
+        # agreement is checked on the first run that coupled, reading on
+        # from its walk; with none there is nothing to check and the
+        # coupled fraction alone decides
+        if agreement is None and not runs[-1].capped:
+            agreement = post_coupling_agreement(spec, eps, p["k_checks"], stream, steps_cap=cap)
     finite = sum(1 for r in runs if not r.capped) / len(runs)
-    # agreement is checked on the first run that coupled; with none there
-    # is nothing to check and the coupled fraction alone decides
-    first = next((r for r, run in enumerate(runs) if not run.capped), None)
-    agreed = first is None or post_coupling_agreement(
-        spec, eps, p["k_checks"], rng.substream(first), steps_cap=cap
-    ).passed
+    agreed = agreement is None or agreement.passed
     ok = finite >= p["min_finite"] and agreed
     return (STATUS_OK if ok else STATUS_FAIL), {"coupling.csv": coupling_runs_to_csv(runs)}, None
 

@@ -19,12 +19,16 @@ from renewalcluster import (
     run_coupling,
     two_sample_ks,
 )
+from renewalcluster import coupling
+from renewalcluster.config import build_experiment_config, parse_kv
 from renewalcluster.coupling import (
     _kept_indices,
     _signed_gaps,
     coupling_runs_to_csv,
     random_walk_path,
 )
+from renewalcluster.process import ProcessSpec
+from renewalcluster.runner import run_experiment
 
 
 class TestRunCoupling:
@@ -144,6 +148,130 @@ class TestPostCouplingAgreement:
         )
         assert rep.capped
         assert not rep.passed
+
+
+def _bits(rep):
+    """An agreement report to the bit."""
+    gap = None if rep.max_gap is None else rep.max_gap.hex()
+    return rep.tau, rep.violations, gap, rep.capped
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The argument tuples of every ``coupling._walk`` call, starting with
+    an empty handoff slot."""
+    monkeypatch.setattr(coupling, "_handoff", {})
+    calls = []
+    real = coupling._walk
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(coupling, "_walk", counted)
+    return calls
+
+
+def _fresh(spec, eps, k, rng, **kw):
+    """The agreement of a fresh walk: no run_coupling before it."""
+    coupling._handoff.clear()
+    return post_coupling_agreement(spec, eps, k, rng, **kw)
+
+
+class TestWalkHandoff:
+    """run_coupling hands its walk, read up to tau, to the next matching
+    post_coupling_agreement, whose report must equal a fresh one."""
+
+    LAWS = [Uniform(0.0, 5.0), Exponential(0.4), GammaLaw(2.0, 1.25)]
+
+    @pytest.mark.parametrize("law", LAWS, ids=lambda law: type(law).__name__)
+    @pytest.mark.parametrize(
+        "cap, k, start",
+        [
+            (10**7, 100, None),
+            # the continuation crosses the walk's last block end
+            (10**7, 20_000, None),
+            # tau = 0
+            (10**7, 100, (1.0, 1.0)),
+            # a block cut by the cap (every walk here couples within it)
+            (5000, 50, None),
+            # capped
+            (50, 10, (3.0, 0.0)),
+        ],
+    )
+    def test_handoff_equals_fresh_walk(self, walks, law, cap, k, start):
+        spec = ProcessSpec(law, gated_cluster_preset().cluster)
+        eps = 1e-9 if cap == 50 else 0.2
+        for seed in range(3):
+            rng = RngStream(120 + seed)
+            fresh = _fresh(spec, eps, k, rng, steps_cap=cap, start_override=start)
+            run = run_coupling(spec, eps, cap, rng, start_override=start)
+            del walks[:]
+            handed = post_coupling_agreement(spec, eps, k, rng, steps_cap=cap,
+                                             start_override=start)
+            assert walks == []
+            assert _bits(handed) == _bits(fresh)
+            assert handed.tau == run.tau
+        if start == (1.0, 1.0):
+            assert handed.tau == 0
+        if cap == 50:
+            assert handed.capped
+
+    def test_one_walk_per_run_and_agreement(self, walks):
+        spec = gated_cluster_preset()
+        run_coupling(spec, 0.2, 10**7, RngStream(125))
+        post_coupling_agreement(spec, 0.2, 100, RngStream(125))
+        assert len(walks) == 1
+
+    def test_second_agreement_walks_again(self, walks):
+        spec = gated_cluster_preset()
+        rng = RngStream(126)
+        fresh = _fresh(spec, 0.2, 100, rng)
+        run_coupling(spec, 0.2, 10**7, rng)
+        first = post_coupling_agreement(spec, 0.2, 100, rng)
+        del walks[:]
+        second = post_coupling_agreement(spec, 0.2, 100, rng)
+        assert len(walks) == 1
+        assert _bits(first) == _bits(second) == _bits(fresh)
+
+    def test_later_run_displaces_the_handoff(self, walks):
+        spec = gated_cluster_preset()
+        a, b = RngStream(127), RngStream(128)
+        fresh = _fresh(spec, 0.2, 100, a)
+        run_coupling(spec, 0.2, 10**7, a)
+        run_coupling(spec, 0.2, 10**7, b)
+        del walks[:]
+        assert _bits(post_coupling_agreement(spec, 0.2, 100, a)) == _bits(fresh)
+        assert len(walks) == 1
+
+    def test_other_cap_misses(self, walks):
+        spec = gated_cluster_preset()
+        rng = RngStream(129)
+        fresh = _fresh(spec, 0.2, 100, rng)
+        run_coupling(spec, 0.2, 10**5, rng)
+        del walks[:]
+        assert _bits(post_coupling_agreement(spec, 0.2, 100, rng)) == _bits(fresh)
+        assert len(walks) == 1
+        assert walks[0][2] == 10**7
+
+    def test_array_start_override_matches(self, walks):
+        spec = gated_cluster_preset()
+        rng = RngStream(130)
+        fresh = _fresh(spec, 0.2, 100, rng, start_override=(1.0, 1.0))
+        run_coupling(spec, 0.2, 10**7, rng, start_override=np.array([1.0, 1.0]))
+        del walks[:]
+        handed = post_coupling_agreement(spec, 0.2, 100, rng,
+                                         start_override=np.array([1.0, 1.0]))
+        assert walks == []
+        assert _bits(handed) == _bits(fresh)
+
+    def test_coupling_kind_walks_each_run_once(self, walks, tmp_path):
+        text = ("experiment = coupling\ninterarrival.kind = uniform\ninterarrival.lo = 0\n"
+                "interarrival.hi = 5\ncluster.kind = gated_normal\ndelay.kind = same\n"
+                "epsilon = 0.2\nsteps_cap = 100000\nk_checks = 20\nn_rep = 10\n")
+        cfg = build_experiment_config(parse_kv(text))
+        assert run_experiment(cfg, tmp_path) == 0
+        assert len(walks) == 10
 
 
 class TestFlipTest:
