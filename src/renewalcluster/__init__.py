@@ -55,9 +55,7 @@ from .process import (
 )
 from .stationary import (
     TwoSidedMarkedPattern,
-    point_stationary_check,
     sample_size_biased_gaps,
-    sample_size_biased_mark,
     sample_stationary_cluster_process,
     sample_stationary_marked_renewal,
 )

@@ -1,8 +1,9 @@
 """Cluster models: the joint law of a cluster size and its offsets,
 possibly depending on the interarrival that preceded the parent.
 
-Closed-form moment accessors return None when no closed form exists;
-estimators then fall back to pilot Monte Carlo and widen tolerances.
+Every model gives its mean size E L in closed form; the long-run rate
+(E L, plus one with parents) / E X behind every limit target needs no
+other moment.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ class ClusterModel:
 
     ``sample_batch(xs, rng)`` draws one cluster per interarrival value and
     returns (sizes, offsets) with offsets concatenated in parent order.
-    Moment accessors take the interarrival law because x-dependent models
-    need it to integrate out the gap.
+    ``mean_size(interarrival_law)``, the one required moment accessor,
+    gives E L in closed form; it takes the interarrival law because
+    x-dependent models need it to integrate out the gap.
     """
 
     depends_on_gap = False
@@ -47,15 +49,6 @@ class ClusterModel:
     def sample_batch(self, xs, rng):
         raise NotImplementedError
 
-    def mean_size(self, interarrival_law):
-        return None
-
-    def mean_size_times_gap(self, interarrival_law):
-        return None
-
-    def mean_size_times_radius(self, interarrival_law):
-        return None
-
 
 @dataclass(frozen=True)
 class EmptyCluster(ClusterModel):
@@ -65,12 +58,6 @@ class EmptyCluster(ClusterModel):
         return np.zeros(len(xs), dtype=np.int64), np.empty(0)
 
     def mean_size(self, interarrival_law):
-        return 0.0
-
-    def mean_size_times_gap(self, interarrival_law):
-        return 0.0
-
-    def mean_size_times_radius(self, interarrival_law):
         return 0.0
 
 
@@ -88,14 +75,6 @@ class FixedOffsetsCluster(ClusterModel):
 
     def mean_size(self, interarrival_law):
         return float(len(self.offsets))
-
-    def mean_size_times_gap(self, interarrival_law):
-        return len(self.offsets) * interarrival_law.mean()
-
-    def mean_size_times_radius(self, interarrival_law):
-        if not self.offsets:
-            return 0.0
-        return len(self.offsets) * float(np.max(np.abs(self.offsets)))
 
 
 @dataclass(frozen=True)
@@ -129,14 +108,6 @@ class CumulativeStepCluster(ClusterModel):
     def mean_size(self, interarrival_law):
         return self.size.mean()
 
-    def mean_size_times_gap(self, interarrival_law):
-        # size independent of the gap
-        return self.size.mean() * interarrival_law.mean()
-
-    def mean_size_times_radius(self, interarrival_law):
-        # radius = last partial sum, so E[L * R] = E[L^2] * E[step]
-        return self.size.second_moment() * self.step.mean()
-
 
 @dataclass(frozen=True)
 class GatedNormalCluster(ClusterModel):
@@ -164,13 +135,3 @@ class GatedNormalCluster(ClusterModel):
     def mean_size(self, interarrival_law):
         p_below = float(interarrival_law.cdf(self.threshold))
         return self.rate_above * (1.0 - p_below) + self.rate_below * p_below
-
-    def mean_size_times_gap(self, interarrival_law):
-        below = float(interarrival_law.partial_mean(self.threshold))
-        return self.rate_above * (interarrival_law.mean() - below) + (
-            self.rate_below * below
-        )
-
-    def mean_size_times_radius(self, interarrival_law):
-        # max_j |x + N_j| over a Poisson number of draws has no tidy form
-        return None

@@ -223,8 +223,13 @@ def _draw_starts(spec, g, pool_size, start_override):
 
 def _walk_key(epsilon, steps_cap, rng, start_override, pool_size):
     """The arguments besides the spec that fix a walk (the spec is matched
-    by identity).  ``start_override`` becomes two floats, as
-    ``_draw_starts`` reads it; a numpy array would make ``==`` ambiguous."""
+    by identity), after checking epsilon > 0 and steps_cap >= 1.
+    ``start_override`` becomes two floats, as ``_draw_starts`` reads it; a
+    numpy array would make ``==`` ambiguous."""
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    if steps_cap < 1:
+        raise ValueError("steps_cap must be >= 1")
     if start_override is not None:
         start_override = (float(start_override[0]), float(start_override[1]))
     return epsilon, steps_cap, rng, start_override, pool_size
@@ -305,20 +310,13 @@ def run_coupling(
     ``start_override`` substitutes the two initial epochs (stationary,
     delayed); with equal values the walk starts at 0 and tau = 0.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    if steps_cap < 1:
-        raise ValueError("steps_cap must be >= 1")
+    key = _walk_key(epsilon, steps_cap, rng, start_override, pool_size)
     g = rng.generator()
     t0, t_delayed = _draw_starts(spec, g, pool_size, start_override)
     tau, v_tau, plus_count, sum_plus, sum_minus, path, path_idx, steps = _walk(
         spec, epsilon, steps_cap, g, t0, t_delayed
     )
-    _handoff["walk"] = (
-        _walk_key(epsilon, steps_cap, rng, start_override, pool_size),
-        spec,
-        (t0, t_delayed, tau, sum_plus, sum_minus, steps),
-    )
+    _handoff["walk"] = key, spec, (t0, t_delayed, tau, sum_plus, sum_minus, steps)
     coupled = tau is not None
     return CouplingRun(
         epsilon=epsilon,
@@ -352,7 +350,8 @@ def post_coupling_agreement(
     value, and the attached mark is the same draw, so mark equality is
     exact by construction; the epoch gap is checked numerically.
 
-    Every call takes and clears the walk ``run_coupling`` left behind.
+    Every call whose arguments pass the checks (``run_coupling``'s, and
+    k_checks >= 0) takes and clears the walk ``run_coupling`` left behind.
     When that run had the same spec (the same object), epsilon,
     steps_cap, rng, start_override (compared as two floats) and
     pool_size, the continuation is read from its reader, positioned past

@@ -21,10 +21,6 @@ class UnboundedLawError(RenewalClusterError):
     """Size-biased sampling requested for an unbounded law without a pool."""
 
 
-class AccessorUnavailableError(RenewalClusterError):
-    """Closed-form moment accessor is not available for this model."""
-
-
 class NoPointAfterError(RenewalClusterError):
     """No process point found after t even with the extended window."""
 

@@ -4,8 +4,7 @@ Each estimator simulates its replications in blocks of B rows (see
 ``replicate``), where block k draws from substream k of the experiment's
 stream, so results depend only on the seed, B and the replication count,
 never on the order in which blocks run.  Each reports a
-normal-approximation confidence interval next to the closed-form limit
-when the spec's moment accessors are available.
+normal-approximation confidence interval next to its closed-form limit.
 """
 
 from __future__ import annotations
@@ -17,12 +16,7 @@ import numpy as np
 from scipy import integrate
 from scipy.optimize import isotonic_regression
 
-from .errors import (
-    AccessorUnavailableError,
-    NoPointAfterError,
-    QuadratureError,
-    SupportRangeError,
-)
+from .errors import NoPointAfterError, QuadratureError, SupportRangeError
 from .process import ProcessSpec, block_size, delayed_block, guard_band
 from .stats import empirical_cdf
 from .streams import RngStream
@@ -44,7 +38,6 @@ __all__ = [
     "estimate_renewal_function",
     "key_renewal_convolve",
     "key_renewal_limit",
-    "pilot_rate",
 ]
 
 # 99.7% two-sided normal CI by default; acceptance checks widen to 4 SE.
@@ -67,12 +60,6 @@ class ExperimentReport:
     def __post_init__(self):
         if not (self.ci_low <= self.estimate <= self.ci_high):
             raise ValueError("CI must contain the estimate")
-
-    @property
-    def target_in_ci(self) -> bool | None:
-        if self.target is None:
-            return None
-        return self.ci_low <= self.target <= self.ci_high
 
     def within(self, n_se: float) -> bool | None:
         """Whether |estimate - target| <= n_se * std_error."""
@@ -109,7 +96,7 @@ class ExperimentReport:
 def _report(values, tallies, target, rng, block, z=DEFAULT_Z):
     values = np.asarray(values, dtype=np.float64)
     est = float(values.mean())
-    se = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
+    se = float(values.std(ddof=1) / np.sqrt(values.size))
     return ExperimentReport(
         estimate=est,
         std_error=se,
@@ -129,8 +116,11 @@ def replicate(fn, n_rep: int, rng: RngStream, block: int) -> np.ndarray:
     replications and stack its per-replication rows in replication order.
 
     Block k holds replications k * block onwards and draws from
-    rng.substream(k) alone, so blocks can run in any order.
+    rng.substream(k) alone, so blocks can run in any order.  Needs
+    n_rep >= 2, so that every estimate has a standard error.
     """
+    if n_rep < 2:
+        raise ValueError(f"need n_rep >= 2, got {n_rep}")
     return np.concatenate([
         fn(rng.substream(k), min(block, n_rep - start))
         for k, start in enumerate(range(0, n_rep, block))
@@ -157,21 +147,8 @@ def _window_rows(spec: ProcessSpec, lo: float, hi: float):
 def _rate_term(spec: ProcessSpec) -> float:
     """Long-run points per unit time: (E L (+1 with parents)) / E X."""
     mean_l = spec.mean_cluster_size()
-    if mean_l is None:
-        raise AccessorUnavailableError(
-            "cluster model has no closed-form mean size; use pilot_rate"
-        )
     if spec.include_parents:
         mean_l = mean_l + 1.0
-    return mean_l / spec.interarrival.mean()
-
-
-def pilot_rate(spec: ProcessSpec, n_pilot: int, rng: RngStream) -> float:
-    """Monte Carlo fallback for the long-run rate when accessors are absent."""
-    g = rng.generator()
-    xs = np.asarray(spec.interarrival.sample(g, n_pilot), dtype=np.float64)
-    sizes, _ = spec.cluster.sample_batch(xs, g)
-    mean_l = float(sizes.mean()) + (1.0 if spec.include_parents else 0.0)
     return mean_l / spec.interarrival.mean()
 
 
@@ -197,15 +174,11 @@ def estimate_window_mean(
     rng: RngStream,
 ) -> ExperimentReport:
     """Monte Carlo mean of the count in (t, t+x] over independent runs."""
-    if t < 0 or not x > 0 or n_rep < 2:
-        raise ValueError("need t >= 0, x > 0, n_rep >= 2")
+    if t < 0 or not x > 0:
+        raise ValueError("need t >= 0, x > 0")
     fn, block = _window_rows(spec, t, t + x)
     out = replicate(fn, n_rep, rng, block)
-    try:
-        target = theoretical_blackwell_limit(spec, x)
-    except AccessorUnavailableError:
-        target = None
-    return _report(out[:, 0], out[:, 1], target, rng, block)
+    return _report(out[:, 0], out[:, 1], theoretical_blackwell_limit(spec, x), rng, block)
 
 
 def estimate_elementary_ratio(
@@ -219,11 +192,7 @@ def estimate_elementary_ratio(
         raise ValueError("t must be positive")
     fn, block = _window_rows(spec, 0.0, t)
     out = replicate(fn, n_rep, rng, block)
-    try:
-        target = _rate_term(spec)
-    except AccessorUnavailableError:
-        target = None
-    return _report(out[:, 0] / t, out[:, 1], target, rng, block)
+    return _report(out[:, 0] / t, out[:, 1], _rate_term(spec), rng, block)
 
 
 @dataclass(frozen=True)
@@ -359,8 +328,8 @@ def estimate_void_probability(
     rng: RngStream,
 ) -> ExperimentReport:
     """Fraction of replications with an empty window (t, t+x]."""
-    if t < 0 or not x > 0 or n_rep < 2:
-        raise ValueError("need t >= 0, x > 0, n_rep >= 2")
+    if t < 0 or not x > 0:
+        raise ValueError("need t >= 0, x > 0")
     fn, block = _window_rows(spec, t, t + x)
     out = replicate(fn, n_rep, rng, block)
     params = _bartlett_lewis_params(spec)

@@ -41,12 +41,6 @@ class Exponential:
     def cdf(self, x):
         return -np.expm1(-self.rate * np.maximum(x, 0.0))
 
-    def partial_mean(self, c):
-        # E[X 1{X <= c}]
-        if c <= 0:
-            return 0.0
-        return 1.0 / self.rate - np.exp(-self.rate * c) * (c + 1.0 / self.rate)
-
     def sup_bound(self):
         return None
 
@@ -76,10 +70,6 @@ class Uniform:
     def cdf(self, x):
         return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
-    def partial_mean(self, c):
-        c = min(max(c, self.lo), self.hi)
-        return (c**2 - self.lo**2) / (2.0 * (self.hi - self.lo))
-
     def sup_bound(self):
         return self.hi
 
@@ -107,10 +97,6 @@ class GammaLaw:
 
     def cdf(self, x):
         return stats.gamma.cdf(x, self.shape, scale=self.scale)
-
-    def partial_mean(self, c):
-        # E[X 1{X <= c}] = k*theta * F_{k+1}(c)
-        return self.mean() * stats.gamma.cdf(c, self.shape + 1.0, scale=self.scale)
 
     def sup_bound(self):
         return None
@@ -149,9 +135,6 @@ class Mixture:
 
     def cdf(self, x):
         return sum(w * law.cdf(x) for w, law in self.components)
-
-    def partial_mean(self, c):
-        return sum(w * law.partial_mean(c) for w, law in self.components)
 
     def sup_bound(self):
         bounds = [law.sup_bound() for _, law in self.components]

@@ -69,12 +69,6 @@ class ProcessSpec:
     def mean_cluster_size(self):
         return self.cluster.mean_size(self.interarrival)
 
-    def mean_size_times_gap(self):
-        return self.cluster.mean_size_times_gap(self.interarrival)
-
-    def mean_size_times_radius(self):
-        return self.cluster.mean_size_times_radius(self.interarrival)
-
 
 def sample_interarrival(law, rng: RngStream | np.random.Generator) -> float:
     """One draw from an interarrival law."""

@@ -1,5 +1,5 @@
-"""Stationary constructions: size-biased marks, the uniform split of the
-straddling interval, two-sided extension, and stationarity diagnostics.
+"""Stationary constructions: size-biased gaps, the uniform split of the
+straddling interval, and two-sided extension.
 
 The interval straddling the origin is drawn from the size-biased gap law
 and split by an independent Uniform(0,1): the origin-side arrival sits at
@@ -17,19 +17,15 @@ import numpy as np
 from .errors import UnboundedLawError
 from .patterns import MarkedArrival, MarkedPattern, PointPattern, window_pattern
 from .process import ProcessSpec, _gaps_until, _marked_block, block_size, guard_band
-from .stats import KsReport, two_sample_ks
 from .streams import RngStream
 
 __all__ = [
     "TwoSidedMarkedPattern",
     "sample_size_biased_gaps",
-    "sample_size_biased_mark",
     "sample_stationary_marked_renewal",
     "sample_stationary_cluster_process",
     "stationary_block",
     "stationary_rows",
-    "point_stationary_check",
-    "PointStationarityReport",
 ]
 
 DEFAULT_POOL = 4096
@@ -99,17 +95,6 @@ def sample_size_biased_gaps(
     law, n: int, rng: RngStream, pool_size: int = DEFAULT_POOL
 ) -> np.ndarray:
     return _size_biased_gaps(law, n, rng.generator(), pool_size)
-
-
-def sample_size_biased_mark(
-    spec: ProcessSpec, rng: RngStream, pool_size: int = DEFAULT_POOL
-) -> MarkedArrival:
-    """One size-biased mark: the gap drawn with probability proportional to
-    its length, and a cluster drawn conditionally on that gap."""
-    g = rng.generator()
-    x_star = float(_size_biased_gaps(spec.interarrival, 1, g, pool_size)[0])
-    offsets = spec.cluster.sample(x_star, g)
-    return MarkedArrival(0.0, len(offsets), offsets, x_star)
 
 
 def stationary_block(spec, rows, window_lo, window_hi, g, pool_size=DEFAULT_POOL):
@@ -189,63 +174,3 @@ def sample_stationary_cluster_process(
         raise ValueError("need window_lo < window_hi")
     blk, _ = stationary_block(spec, 1, window_lo, window_hi, rng.generator(), pool_size)
     return window_pattern(blk.all_points(), window_lo, window_hi)
-
-
-@dataclass(frozen=True)
-class PointStationarityReport:
-    k: int
-    depth: int
-    n_rep: int
-    alpha: float
-    gap_checks: tuple
-    size_checks: tuple
-    max_distance: float
-    passed: bool
-
-
-def point_stationary_check(
-    spec: ProcessSpec,
-    k: int,
-    n_rep: int,
-    rng: RngStream,
-    depth: int = 3,
-    alpha: float = 0.01,
-) -> PointStationarityReport:
-    """Compare the process recentered at its k-th arrival against the origin.
-
-    Simulates the zero-anchored process, reads off the ``depth`` gaps and
-    cluster sizes following the origin and following the k-th arrival from
-    independent replication sets, and KS-compares them coordinate-wise.
-    With k = 0 both sets use the same stream, so the samples coincide.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    law = spec.interarrival
-
-    def batch(stream, skip):
-        g = stream.generator()
-        gaps = np.asarray(law.sample(g, (n_rep, skip + depth)), dtype=np.float64)
-        view = gaps[:, skip:]
-        sizes, _ = spec.cluster.sample_batch(view.reshape(-1), g)
-        return view, sizes.reshape(n_rep, depth)
-
-    gaps_a, sizes_a = batch(rng.substream(0), 0)
-    gaps_b, sizes_b = batch(rng.substream(k), k)
-
-    gap_checks = tuple(
-        two_sample_ks(gaps_a[:, j], gaps_b[:, j], alpha) for j in range(depth)
-    )
-    size_checks = tuple(
-        two_sample_ks(sizes_a[:, j], sizes_b[:, j], alpha) for j in range(depth)
-    )
-    all_checks = gap_checks + size_checks
-    return PointStationarityReport(
-        k=k,
-        depth=depth,
-        n_rep=n_rep,
-        alpha=alpha,
-        gap_checks=gap_checks,
-        size_checks=size_checks,
-        max_distance=max(c.distance for c in all_checks),
-        passed=not any(c.reject for c in all_checks),
-    )

@@ -273,6 +273,28 @@ class TestWalkHandoff:
         assert run_experiment(cfg, tmp_path) == 0
         assert len(walks) == 10
 
+    @pytest.mark.parametrize("eps, cap", [(0.0, 10**7), (-1.0, 10**7), (float("nan"), 10**7),
+                                          (0.2, 0)],
+                             ids=["eps-0", "eps-negative", "eps-nan", "cap-0"])
+    def test_agreement_rejects_what_run_coupling_rejects(self, walks, eps, cap):
+        spec = gated_cluster_preset()
+        with pytest.raises(ValueError):
+            run_coupling(spec, eps, cap, RngStream(131))
+        with pytest.raises(ValueError):
+            post_coupling_agreement(spec, eps, 100, RngStream(131), steps_cap=cap)
+        assert walks == []
+
+    def test_rejected_agreement_keeps_the_handoff(self, walks):
+        spec = gated_cluster_preset()
+        rng = RngStream(132)
+        fresh = _fresh(spec, 0.2, 100, rng)
+        run_coupling(spec, 0.2, 10**7, rng)
+        with pytest.raises(ValueError):
+            post_coupling_agreement(spec, 0.0, 100, rng)
+        handed = post_coupling_agreement(spec, 0.2, 100, rng)
+        assert len(walks) == 2  # the fresh walk and run_coupling's
+        assert _bits(handed) == _bits(fresh)
+
 
 class TestFlipTest:
     def test_stopping_rule_accepts(self):

@@ -25,8 +25,8 @@ from renewalcluster import (
     theoretical_blackwell_limit,
     theoretical_mean_measure,
 )
-from renewalcluster.errors import AccessorUnavailableError, SupportRangeError
-from renewalcluster.estimators import _report, _window_rows, pilot_rate
+from renewalcluster.errors import SupportRangeError
+from renewalcluster.estimators import _report, _window_rows
 
 
 class TestTheoreticalLimits:
@@ -41,17 +41,6 @@ class TestTheoreticalLimits:
         bl = bartlett_lewis_preset(1.0, PoissonCount(1.0), Exponential(1.0))
         assert theoretical_mean_measure(bl, 0.0, 3.0) == pytest.approx(6.0)
         assert theoretical_mean_measure(bl, 1.0, 1.0) == 0.0
-
-    def test_accessor_unavailable_raises(self):
-        class Opaque(EmptyCluster):
-            def mean_size(self, law):
-                return None
-
-        spec = ProcessSpec(Exponential(1.0), Opaque())
-        with pytest.raises(AccessorUnavailableError):
-            theoretical_blackwell_limit(spec, 1.0)
-        # the Monte Carlo fallback still works
-        assert pilot_rate(spec, 1000, RngStream(111)) == 0.0
 
 
 class TestWindowMean:
@@ -240,5 +229,4 @@ class TestReportSerialization:
         rep = ExperimentReport(1.0, 0.1, 0.7, 1.3, 10, None, 0, 0)
         back = ExperimentReport.from_csv_row(rep.to_csv_row())
         assert back.target is None
-        assert back.target_in_ci is None
         assert back.within(4.0) is None

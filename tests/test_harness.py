@@ -318,8 +318,16 @@ class TestCli:
         "experiment = coupling\ninterarrival.kind = uniform\ninterarrival.lo = 0\n"
         "interarrival.hi = 5\ncluster.kind = gated_normal\ndelay.kind = same\n"
         "epsilon = 0.2\nn_rep = 0\n",
+        # one replication gives no standard error to judge a verdict by
+        GATED_CONFIG.replace("experiment = window_mean", "experiment = elementary")
+        .replace("x = 1\n", "").replace("n_rep = 200", "n_rep = 1"),
+        GATED_CONFIG.replace("experiment = window_mean", "experiment = renewal_function")
+        .replace("t = 20\nx = 1\n", "grid = 1,5\n").replace("n_rep = 200", "n_rep = 1"),
+        GATED_CONFIG.replace("experiment = window_mean", "experiment = stationarity_check")
+        .replace("t = 20\nx = 1\n", "shifts = 0,10\n").replace("n_rep = 200", "n_rep = 1"),
     ], ids=["window_mean-x-negative", "window_mean-n_rep-0", "renewal_function-grid-unsorted",
-            "coupling-n_rep-0"])
+            "coupling-n_rep-0", "elementary-n_rep-1", "renewal_function-n_rep-1",
+            "stationarity_check-n_rep-1"])
     def test_verify_bad_value_exit_two(self, tmp_path, text, capsys):
         assert text != GATED_CONFIG
         cfg = self._write(tmp_path, text)

@@ -43,17 +43,6 @@ def test_second_moment_matches_numeric_oracle(law):
     assert law.second_moment() == pytest.approx(numeric_second_moment(law), rel=1e-6)
 
 
-@pytest.mark.parametrize("law", ALL_LAWS, ids=repr)
-def test_partial_mean_matches_numeric_oracle(law):
-    for c in (0.5, 1.0, 3.0):
-        oracle = integrate.quad(
-            lambda y: law.cdf(c) - law.cdf(y), 0, c, limit=200
-        )[0] + c * 0.0
-        # integration by parts: E[X 1{X<=c}] = c F(c) - int_0^c F(y) dy
-        oracle = c * law.cdf(c) - integrate.quad(law.cdf, 0, c, limit=200)[0]
-        assert law.partial_mean(c) == pytest.approx(oracle, abs=1e-8)
-
-
 @pytest.mark.parametrize(
     "law,expected",
     [

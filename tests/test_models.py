@@ -62,13 +62,6 @@ class TestGatedCluster:
         model = GatedNormalCluster()
         assert model.mean_size(Uniform(0.0, 5.0)) == pytest.approx(1.4)
 
-    def test_mean_size_times_gap_oracle(self):
-        # E[L X] = 0.5 E[X 1{X>1}] + 5 E[X 1{X<=1}] with X ~ U(0,5):
-        # E[X 1{X<=1}] = 0.1, E[X 1{X>1}] = 2.4, so 0.5*2.4 + 5*0.1 = 1.7
-        model = GatedNormalCluster()
-        assert model.mean_size_times_gap(Uniform(0.0, 5.0)) == pytest.approx(1.7)
-        assert model.mean_size_times_radius(Uniform(0.0, 5.0)) is None
-
     def test_offsets_center_on_gap(self):
         g = RngStream(13).generator()
         model = GatedNormalCluster()
@@ -103,9 +96,6 @@ class TestCumulativeStepCluster:
         model = CumulativeStepCluster(PoissonCount(2.0), Exponential(4.0))
         law = Uniform(0.0, 5.0)
         assert model.mean_size(law) == 2.0
-        assert model.mean_size_times_gap(law) == pytest.approx(2.0 * 2.5)
-        # E[L R] = E[L^2] E[step] = (2 + 4) * 0.25
-        assert model.mean_size_times_radius(law) == pytest.approx(1.5)
 
     def test_offsets_are_exact_partial_sums(self):
         # bit for bit np.cumsum of each cluster's own steps, however large
@@ -142,8 +132,6 @@ class TestSimpleClusters:
         assert np.all(sizes == 2)
         assert np.allclose(offs, [0.5, -1.0] * 3)
         assert model.mean_size(Exponential(2.0)) == 2.0
-        assert model.mean_size_times_gap(Exponential(2.0)) == pytest.approx(1.0)
-        assert model.mean_size_times_radius(Exponential(2.0)) == pytest.approx(2.0)
 
 
 class TestDelayedRenewal:

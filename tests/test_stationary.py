@@ -11,9 +11,7 @@ from renewalcluster import (
     RngStream,
     Uniform,
     gated_cluster_preset,
-    point_stationary_check,
     sample_size_biased_gaps,
-    sample_size_biased_mark,
     sample_stationary_cluster_process,
     sample_stationary_marked_renewal,
     two_sample_ks,
@@ -42,7 +40,8 @@ class TestSizeBiasedGaps:
         for f, target in [
             (lambda x: x, law.second_moment() / mu),
             (lambda x: x**2, (15.0 / 4.0) / mu),  # E X^3 = 15/4 for U(1,2)
-            (lambda x: (x > 1.5).astype(float), (law.mean() - law.partial_mean(1.5)) / mu),
+            # E[X 1{X <= 1.5}] = (1.5^2 - 1) / 2 = 0.625 for U(1,2)
+            (lambda x: (x > 1.5).astype(float), (law.mean() - 0.625) / mu),
         ]:
             vals = f(xs)
             se = vals.std() / np.sqrt(vals.size)
@@ -79,16 +78,6 @@ class TestSizeBiasedGaps:
         # negative control: draws of the plain law must be rejected
         plain = law.sample(RngStream(68).generator(), 20_000)
         assert stats.kstest(plain, stats.gamma(shape, scale=scale).cdf).pvalue < 1e-3
-
-    def test_size_biased_mark_gap_mean(self):
-        spec = gated_cluster_preset()
-        gaps = [
-            sample_size_biased_mark(spec, RngStream(65, r)).interarrival
-            for r in range(20_000)
-        ]
-        gaps = np.array(gaps)
-        se = gaps.std() / np.sqrt(gaps.size)
-        assert abs(gaps.mean() - 10.0 / 3.0) < 4 * se
 
 
 class TestStationaryConstruction:
@@ -187,21 +176,3 @@ class TestStationaryCounts:
         for s, seed in ((13.7, 83), (-40.0, 84)):
             assert not two_sample_ks(base, counts(s, seed), alpha=0.001).reject
 
-
-class TestPointStationarityCheck:
-    def test_k_zero_is_exact(self):
-        spec = gated_cluster_preset()
-        rep = point_stationary_check(spec, 0, 2000, RngStream(85))
-        assert rep.max_distance == 0.0
-        assert rep.passed
-
-    def test_recentering_passes(self):
-        spec = gated_cluster_preset()
-        rep = point_stationary_check(spec, 7, 5000, RngStream(86))
-        assert rep.passed
-        assert len(rep.gap_checks) == rep.depth
-        assert len(rep.size_checks) == rep.depth
-
-    def test_negative_k_rejected(self):
-        with pytest.raises(ValueError):
-            point_stationary_check(gated_cluster_preset(), -1, 100, RngStream(87))
