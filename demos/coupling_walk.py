@@ -5,8 +5,6 @@ arrivals afterwards.
 Run: python demos/coupling_walk.py
 """
 
-import numpy as np
-
 from renewalcluster import (
     RngStream,
     gated_cluster_preset,

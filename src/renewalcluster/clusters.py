@@ -40,8 +40,6 @@ class ClusterModel:
     x-dependent models need it to integrate out the gap.
     """
 
-    depends_on_gap = False
-
     def sample(self, x, rng):
         sizes, offsets = self.sample_batch(np.array([x], dtype=np.float64), rng)
         return offsets
@@ -120,8 +118,6 @@ class GatedNormalCluster(ClusterModel):
     threshold: float = 1.0
     rate_above: float = 0.5
     rate_below: float = 5.0
-
-    depends_on_gap = True
 
     def sample_batch(self, xs, rng):
         lam = np.where(xs > self.threshold, self.rate_above, self.rate_below)

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laws import Uniform
+from .patterns import csv_text
 from .process import ProcessSpec
 from .stationary import DEFAULT_POOL, _size_biased_gaps
 from .stats import KsReport, two_sample_ks
@@ -297,6 +298,14 @@ def _walk(spec, epsilon, steps_cap, g, t0, t_delayed):
     return None, None, None, None, None, path, path_idx, steps
 
 
+def _fresh_walk(spec, epsilon, steps_cap, rng, start_override, pool_size):
+    """(t0, t_delayed, *_walk(...)): the starting epochs drawn from a new
+    generator of rng, and the walk from them on the same generator."""
+    g = rng.generator()
+    t0, t_delayed = _draw_starts(spec, g, pool_size, start_override)
+    return t0, t_delayed, *_walk(spec, epsilon, steps_cap, g, t0, t_delayed)
+
+
 def run_coupling(
     spec: ProcessSpec,
     epsilon: float,
@@ -311,11 +320,8 @@ def run_coupling(
     delayed); with equal values the walk starts at 0 and tau = 0.
     """
     key = _walk_key(epsilon, steps_cap, rng, start_override, pool_size)
-    g = rng.generator()
-    t0, t_delayed = _draw_starts(spec, g, pool_size, start_override)
-    tau, v_tau, plus_count, sum_plus, sum_minus, path, path_idx, steps = _walk(
-        spec, epsilon, steps_cap, g, t0, t_delayed
-    )
+    t0, t_delayed, tau, v_tau, plus_count, sum_plus, sum_minus, path, path_idx, steps = (
+        _fresh_walk(spec, epsilon, steps_cap, rng, start_override, pool_size))
     _handoff["walk"] = key, spec, (t0, t_delayed, tau, sum_plus, sum_minus, steps)
     coupled = tau is not None
     return CouplingRun(
@@ -365,11 +371,8 @@ def post_coupling_agreement(
     if slot is not None and slot[1] is spec and slot[0] == key:
         t0, t_delayed, tau, sum_plus, sum_minus, steps = slot[2]
     else:
-        g = rng.generator()
-        t0, t_delayed = _draw_starts(spec, g, pool_size, start_override)
-        tau, _, _, sum_plus, sum_minus, _, _, steps = _walk(
-            spec, epsilon, steps_cap, g, t0, t_delayed
-        )
+        t0, t_delayed, tau, _, _, sum_plus, sum_minus, _, _, steps = _fresh_walk(
+            spec, epsilon, steps_cap, rng, start_override, pool_size)
     if tau is None:
         return AgreementReport(epsilon, None, k_checks, (), None, capped=True)
 
@@ -442,9 +445,5 @@ def rademacher_flip_test(
 
 
 def coupling_runs_to_csv(runs) -> str:
-    lines = ["epsilon,tau,coupling_time,capped"]
-    for r in runs:
-        tau = "" if r.tau is None else str(r.tau)
-        ct = "" if r.coupling_time is None else repr(r.coupling_time)
-        lines.append(f"{r.epsilon!r},{tau},{ct},{str(r.capped).lower()}")
-    return "\n".join(lines) + "\n"
+    return csv_text("epsilon,tau,coupling_time,capped",
+                    *zip(*((r.epsilon, r.tau, r.coupling_time, r.capped) for r in runs)))

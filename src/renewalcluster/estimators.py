@@ -9,7 +9,6 @@ normal-approximation confidence interval next to its closed-form limit.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +16,7 @@ from scipy import integrate
 from scipy.optimize import isotonic_regression
 
 from .errors import NoPointAfterError, QuadratureError, SupportRangeError
+from .patterns import csv_text
 from .process import ProcessSpec, block_size, delayed_block, guard_band
 from .stats import empirical_cdf
 from .streams import RngStream
@@ -70,12 +70,9 @@ class ExperimentReport:
     CSV_HEADER = "estimate,std_error,ci_low,ci_high,n_rep,target,seed,truncation_tally"
 
     def to_csv_row(self) -> str:
-        target = "" if self.target is None else repr(self.target)
-        return (
-            f"{self.estimate!r},{self.std_error!r},{self.ci_low!r},"
-            f"{self.ci_high!r},{self.n_rep},{target},{self.seed},"
-            f"{self.truncation_tally}"
-        )
+        fields = (self.estimate, self.std_error, self.ci_low, self.ci_high, self.n_rep,
+                  self.target, self.seed, self.truncation_tally)
+        return csv_text(self.CSV_HEADER, *([f] for f in fields)).split("\n")[1]
 
     @classmethod
     def from_csv_row(cls, row: str, stream_id: int = 0) -> "ExperimentReport":
@@ -217,15 +214,8 @@ class CdfReport:
     CSV_HEADER = "x,cdf,half_width,target"
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(self.CSV_HEADER + "\n")
-        for i, x in enumerate(self.grid):
-            tgt = "" if self.target is None else repr(float(self.target[i]))
-            buf.write(
-                f"{float(x)!r},{float(self.values[i])!r},"
-                f"{float(self.half_widths[i])!r},{tgt}\n"
-            )
-        return buf.getvalue()
+        target = [None] * len(self.grid) if self.target is None else self.target
+        return csv_text(self.CSV_HEADER, self.grid, self.values, self.half_widths, target)
 
 
 def estimate_forward_recurrence_cdf(
@@ -357,14 +347,7 @@ class RenewalFunctionTable:
     CSV_HEADER = "t,raw,corrected,std_error"
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(self.CSV_HEADER + "\n")
-        for i, t in enumerate(self.grid):
-            buf.write(
-                f"{float(t)!r},{float(self.raw[i])!r},"
-                f"{float(self.corrected[i])!r},{float(self.std_errors[i])!r}\n"
-            )
-        return buf.getvalue()
+        return csv_text(self.CSV_HEADER, self.grid, self.raw, self.corrected, self.std_errors)
 
 
 def estimate_renewal_function(

@@ -172,9 +172,6 @@ class PoissonCount:
     def mean(self):
         return self.rate
 
-    def second_moment(self):
-        return self.rate + self.rate**2
-
     def sample(self, rng, size=None):
         return rng.poisson(self.rate, size)
 
@@ -189,9 +186,6 @@ class FixedCount:
 
     def mean(self):
         return float(self.value)
-
-    def second_moment(self):
-        return float(self.value) ** 2
 
     def sample(self, rng, size=None):
         if size is None:

@@ -11,7 +11,6 @@ epochs T_i as the block engine's flat arrays, with no object per arrival.
 from __future__ import annotations
 
 import functools
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +26,54 @@ __all__ = [
     "restrict",
     "flatten",
     "window_pattern",
+    "csv_text",
 ]
 
 # Relative tolerance for the epoch-difference consistency check.  Epochs are
 # prefix sums of interarrivals, so consecutive differences reproduce the
 # stored gap only up to rounding.
 _EPOCH_RTOL = 1e-9
+# Rows csv_text formats at a time.  A whole column at once holds every field
+# string until the join: 24 MB at peak for a 4 MB pattern.csv of 226,541
+# points, against 8 MB in pieces.
+_CSV_ROWS = 4096
+
+
+def _field(v) -> str:
+    if isinstance(v, str):
+        return v
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return "" if v is None else repr(v)
+
+
+def _fields(column):
+    """The fields of one column; a numeric array is read by one ``tolist``,
+    with no type test per value."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
+        return map(repr, column.tolist())
+    return map(_field, column)
+
+
+def csv_text(header: str, *columns) -> str:
+    """CSV text of equal-length columns under a header line, LF line ends.
+    Each field: a float by repr, an int by str, None empty, a bool as
+    true/false, a str as is; numpy values as the Python values they hold."""
+    parts = [header]
+    for i in range(0, max(map(len, columns), default=0), _CSV_ROWS):
+        rows = zip(*(_fields(c[i : i + _CSV_ROWS]) for c in columns), strict=True)
+        parts.append("\n".join(map(",".join, rows)))
+    return "\n".join([*parts, ""])
+
+
+def _csv_body(text: str, header: str) -> list[str]:
+    """The lines of a CSV text after its header, which must be ``header``."""
+    lines = text.strip().splitlines()
+    if not lines or lines[0] != header:
+        raise ValueError(f"expected CSV header {header!r}")
+    return lines[1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,18 +108,11 @@ class PointPattern:
         return int(self.points.size)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t\n")
-        for t in self.points:
-            buf.write(f"{float(t)!r}\n")
-        return buf.getvalue()
+        return csv_text("t", self.points)
 
     @classmethod
     def from_csv(cls, text: str, window: tuple[float, float]) -> "PointPattern":
-        lines = text.strip().splitlines()
-        if not lines or lines[0] != "t":
-            raise ValueError("expected header 't'")
-        pts = np.array([float(s) for s in lines[1:]], dtype=np.float64)
+        pts = np.array([float(s) for s in _csv_body(text, "t")], dtype=np.float64)
         return cls(pts, window)
 
 
@@ -153,31 +187,23 @@ class MarkedPattern:
     def __len__(self):
         return int(self.epochs.size)
 
-    def _rows(self):
-        """(epoch, gap, size, end of its offsets) per arrival, as Python
-        scalars."""
-        return zip(self.epochs.tolist(), self.gaps.tolist(), self.sizes.tolist(),
-                   np.cumsum(self.sizes).tolist())
-
     @functools.cached_property
     def arrivals(self) -> tuple[MarkedArrival, ...]:
         """Every arrival as a MarkedArrival, built on first access."""
-        return tuple(MarkedArrival(e, k, self.offsets[end - k : end], x)
-                     for e, x, k, end in self._rows())
+        ends = np.cumsum(self.sizes).tolist()
+        return tuple(MarkedArrival(e, k, self.offsets[end - k : end], x) for e, x, k, end
+                     in zip(self.epochs.tolist(), self.gaps.tolist(), self.sizes.tolist(), ends))
 
     def to_csv(self) -> str:
-        offs = [repr(o) for o in self.offsets.tolist()]
-        rows = (f"{e!r},{x!r},{k},{';'.join(offs[end - k : end])}\n"
-                for e, x, k, end in self._rows())
-        return self.CSV_HEADER + "\n" + "".join(rows)
+        offs = list(_fields(self.offsets))
+        ends = np.cumsum(self.sizes).tolist()
+        joined = [";".join(offs[end - k : end]) for k, end in zip(self.sizes.tolist(), ends)]
+        return csv_text(self.CSV_HEADER, self.epochs, self.gaps, self.sizes, joined)
 
     @classmethod
     def from_csv(cls, text: str, window: tuple[float, float]) -> "MarkedPattern":
-        lines = text.strip().splitlines()
-        if not lines or lines[0] != cls.CSV_HEADER:
-            raise ValueError("bad MarkedPattern CSV header")
         epochs, gaps, sizes, offsets = [], [], [], []
-        for line in lines[1:]:
+        for line in _csv_body(text, cls.CSV_HEADER):
             epoch_s, inter_s, size_s, offs_s = line.split(",")
             offs = [float(s) for s in offs_s.split(";") if s]
             if len(offs) != int(size_s):

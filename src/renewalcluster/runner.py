@@ -43,6 +43,7 @@ from .estimators import (
     key_renewal_limit,
     replicate,
 )
+from .patterns import csv_text
 from .stationary import stationary_rows
 from .stats import two_sample_ks
 from .streams import stream_for
@@ -126,9 +127,8 @@ def _key_renewal(spec, p, n_rep, rng):
     value = key_renewal_convolve(tab, g_fn, p["t"])
     limit = key_renewal_limit(spec, g_fn)
     ok = abs(value - limit) <= p["rel_tol"] * abs(limit)
-    text = "value,limit,rel_tol\n" + f"{value!r},{limit!r},{p['rel_tol']!r}\n"
     return (STATUS_OK if ok else STATUS_FAIL), {
-        "report.csv": text,
+        "report.csv": csv_text("value,limit,rel_tol", [value], [limit], [p["rel_tol"]]),
         "renewal.csv": tab.to_csv(),
     }, tab.block
 
@@ -158,18 +158,12 @@ def _stationarity_check(spec, p, n_rep, rng):
         replicate(fn, n_rep, rng.substream(i), block)[:, 0]
         for i, (fn, _) in enumerate(jobs)
     ]
-    lines = ["shift_a,shift_b,distance,critical_value,reject"]
-    any_reject = False
-    for i in range(1, len(shifts)):
-        ks = two_sample_ks(samples[0], samples[i], p["alpha"])
-        any_reject = any_reject or ks.reject
-        lines.append(
-            f"{shifts[0]!r},{shifts[i]!r},{ks.distance!r},"
-            f"{ks.critical_value!r},{str(ks.reject).lower()}"
-        )
-    return (STATUS_FAIL if any_reject else STATUS_OK), {
-        "stationarity.csv": "\n".join(lines) + "\n"
-    }, block
+    tests = [two_sample_ks(samples[0], s, p["alpha"]) for s in samples[1:]]
+    rows = [(shifts[0], shift, ks.distance, ks.critical_value, ks.reject)
+            for shift, ks in zip(shifts[1:], tests)]
+    text = csv_text("shift_a,shift_b,distance,critical_value,reject", *zip(*rows))
+    any_reject = any(ks.reject for ks in tests)
+    return (STATUS_FAIL if any_reject else STATUS_OK), {"stationarity.csv": text}, block
 
 
 def _flip_test(spec, p, n_rep, rng):
@@ -180,12 +174,10 @@ def _flip_test(spec, p, n_rep, rng):
         p["n"], n_rep, rng.substream(1), p["ones_needed"], "peek_ahead", p["alpha"]
     )
     ok = (not stop.reject) and peek.reject
-    lines = [
-        "rule,distance,critical_value,reject",
-        f"stopping,{stop.distance!r},{stop.critical_value!r},{str(stop.reject).lower()}",
-        f"peek_ahead,{peek.distance!r},{peek.critical_value!r},{str(peek.reject).lower()}",
-    ]
-    return (STATUS_OK if ok else STATUS_FAIL), {"flip.csv": "\n".join(lines) + "\n"}, None
+    rows = [(rule, ks.distance, ks.critical_value, ks.reject)
+            for rule, ks in (("stopping", stop), ("peek_ahead", peek))]
+    text = csv_text("rule,distance,critical_value,reject", *zip(*rows))
+    return (STATUS_OK if ok else STATUS_FAIL), {"flip.csv": text}, None
 
 
 def _finite(s: str) -> float:

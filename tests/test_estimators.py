@@ -11,7 +11,6 @@ from renewalcluster import (
     ProcessSpec,
     RngStream,
     StepFunction,
-    Uniform,
     bartlett_lewis_preset,
     bartlett_lewis_recurrence_cdf,
     bartlett_lewis_void_probability,

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from renewalcluster import (
-    Exponential,
     PointPattern,
     RngStream,
     Uniform,

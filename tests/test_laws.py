@@ -91,7 +91,6 @@ def test_count_laws():
     pois = PoissonCount(5.0)
     xs = pois.sample(g, 100_000)
     assert abs(xs.mean() - 5.0) < 4 * xs.std() / np.sqrt(xs.size)
-    assert pois.second_moment() == pytest.approx(5.0 + 25.0)
     fixed = FixedCount(3)
     assert fixed.sample(g) == 3
     assert np.all(fixed.sample(g, 10) == 3)

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import stats
 
 from renewalcluster import (
     CumulativeStepCluster,

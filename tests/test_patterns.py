@@ -17,7 +17,10 @@ from renewalcluster import (
     sample_stationary_marked_renewal,
     shift,
 )
+from renewalcluster.coupling import coupling_runs_to_csv
 from renewalcluster.errors import WindowError
+from renewalcluster.estimators import ExperimentReport
+from renewalcluster.patterns import csv_text
 
 
 def pat(points, window=(0.0, 10.0)):
@@ -48,6 +51,41 @@ class TestPointPattern:
         p = pat([0.1, 2.5, 2.5, 9.999999999999])
         q = PointPattern.from_csv(p.to_csv(), p.window)
         assert np.array_equal(p.points, q.points)
+
+
+class TestCsvText:
+    def test_numpy_fields_as_python_values(self):
+        want = "x,k,flag,none\n0.5,3,true,\n"
+        numpy = csv_text("x,k,flag,none", [np.float64(0.5)], [np.int64(3)], [np.bool_(True)],
+                         [None])
+        python = csv_text("x,k,flag,none", [0.5], [3], [True], [None])
+        assert numpy == python == want
+
+    def test_numpy_columns_as_python_values(self):
+        text = csv_text("x,k,flag", np.array([0.5, 0.1]), np.array([3, -4]),
+                        np.array([True, False]))
+        assert text == "x,k,flag\n0.5,3,true\n0.1,-4,false\n"
+
+    def test_report_row_of_numpy_scalars(self):
+        python = ExperimentReport(0.5, 0.25, -0.25, 1.25, 40, None, 7, 0, 2)
+        numpy = ExperimentReport(*map(np.float64, (0.5, 0.25, -0.25, 1.25)), np.int64(40),
+                                 None, 7, 0, np.int64(2))
+        assert numpy.to_csv_row() == python.to_csv_row() == "0.5,0.25,-0.25,1.25,40,,7,2"
+
+    def test_no_rows_writes_the_header_alone(self):
+        assert csv_text("t", np.empty(0)) == "t\n"
+        assert csv_text("epsilon,tau,coupling_time,capped") == coupling_runs_to_csv([])
+        assert coupling_runs_to_csv([]) == "epsilon,tau,coupling_time,capped\n"
+        assert pat([]).to_csv() == "t\n"
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError):
+            csv_text("a,b", [1.0, 2.0], [1.0])
+
+    @pytest.mark.parametrize("cls", [PointPattern, MarkedPattern])
+    def test_from_csv_checks_the_header(self, cls):
+        with pytest.raises(ValueError, match="expected CSV header"):
+            cls.from_csv("x\n1.0\n", (0.0, 10.0))
 
 
 class TestShift:
