@@ -103,16 +103,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="flat key = value config file")
+    def common(p):
+        p.add_argument("--config", required=True, help="flat key = value config file")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--reps", type=int, default=None, help="override replication count")
         p.add_argument("--out", default="out", help="output directory")
 
     common(sub.add_parser("simulate", help="draw one realization, write pattern.csv"))
-    common(sub.add_parser("verify", help="run a verification experiment"))
-    common(sub.add_parser("coupling", help="run a coupling experiment"))
+    for p in (sub.add_parser("verify", help="run a verification experiment"),
+              sub.add_parser("coupling", help="run a coupling experiment")):
+        common(p)
+        p.add_argument("--reps", type=int, default=None, help="override replication count")
     rep = sub.add_parser("report", help="print a result directory")
     rep.add_argument("--out", default="out", help="result directory to summarize")
     return parser

@@ -8,13 +8,15 @@ between their current epochs performs a symmetric nonarithmetic random
 walk.  The walk is recurrent, so it eventually enters [0, epsilon); from
 that step on the two processes stay epsilon-close with identical marks.
 
-Draw order: after the two starting epochs, the shared steps come in
-blocks.  A block starting at step s holds min(2^14, cap - s) steps while
-the walk runs, and 2^14 steps in the continuation past tau; it draws its
-gaps from the interarrival law, then as many raw 64-bit words.  A step is
-+1 when its word's top bit is clear (the event ``random() < 0.5`` at that
-stream position).  The stored path keeps V_i for every i <= 10^4, then in
-octave k, 10^4 2^(k-1) < i <= 10^4 2^k, the i divisible by 2^k.
+Draw order: first the two starting epochs, U X* for the stationary copy
+(X* the exact size-biased gap of ``stationary._size_biased_gaps``) and a
+delay draw for the delayed one; then the shared steps come in blocks.
+A block starting at step s holds min(2^14, cap - s) steps while the walk
+runs, and 2^14 steps in the continuation past tau; it draws its gaps from
+the interarrival law, then as many raw 64-bit words.  A step is +1 when
+its word's top bit is clear (the event ``random() < 0.5`` at that stream
+position).  The stored path keeps V_i for every i <= 10^4, then in octave
+k, 10^4 2^(k-1) < i <= 10^4 2^k, the i divisible by 2^k.
 
 The layout is fixed; only the reading is lazy.  ``_SharedSteps`` hands the
 steps out in chunks and materializes only those the walk reads: a
@@ -27,10 +29,10 @@ whole blocks (tests/data/walk_parity.json, walk_parity_laws.json).
 
 Each walk is walked once.  ``run_coupling`` leaves the finished walk, its
 reader positioned just past tau, in a one-shot module-private slot keyed
-by its arguments (spec, epsilon, steps_cap, rng, start_override,
-pool_size).  The next ``post_coupling_agreement`` clears the slot and, when
-the key matches, reads on from that reader, the one a fresh walk would
-rebuild, so its report equals that of a fresh walk bit for bit.
+by its arguments (spec, epsilon, steps_cap, rng, start_override).  The
+next ``post_coupling_agreement`` clears the slot and, when the key
+matches, reads on from that reader, the one a fresh walk would rebuild,
+so its report equals that of a fresh walk bit for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 from .laws import Uniform
 from .patterns import csv_text
 from .process import ProcessSpec
-from .stationary import DEFAULT_POOL, _size_biased_gaps
+from .stationary import _size_biased_gaps
 from .stats import KsReport, two_sample_ks
 from .streams import RngStream
 
@@ -211,18 +213,18 @@ def _kept_indices(a, b):
     return np.concatenate(parts)
 
 
-def _draw_starts(spec, g, pool_size, start_override):
+def _draw_starts(spec, g, start_override):
     if start_override is not None:
         return float(start_override[0]), float(start_override[1])
     law = spec.interarrival
-    x_star = float(_size_biased_gaps(law, 1, g, pool_size)[0])
+    x_star = float(_size_biased_gaps(law, 1, g)[0])
     u = g.random()
     t0 = u * x_star
     t_delayed = float(spec.delay.sample(g)) if spec.delay is not None else 0.0
     return t0, t_delayed
 
 
-def _walk_key(epsilon, steps_cap, rng, start_override, pool_size):
+def _walk_key(epsilon, steps_cap, rng, start_override):
     """The arguments besides the spec that fix a walk (the spec is matched
     by identity), after checking epsilon > 0 and steps_cap >= 1.
     ``start_override`` becomes two floats, as ``_draw_starts`` reads it; a
@@ -233,7 +235,7 @@ def _walk_key(epsilon, steps_cap, rng, start_override, pool_size):
         raise ValueError("steps_cap must be >= 1")
     if start_override is not None:
         start_override = (float(start_override[0]), float(start_override[1]))
-    return epsilon, steps_cap, rng, start_override, pool_size
+    return epsilon, steps_cap, rng, start_override
 
 
 def _walk(spec, epsilon, steps_cap, g, t0, t_delayed):
@@ -298,11 +300,11 @@ def _walk(spec, epsilon, steps_cap, g, t0, t_delayed):
     return None, None, None, None, None, path, path_idx, steps
 
 
-def _fresh_walk(spec, epsilon, steps_cap, rng, start_override, pool_size):
+def _fresh_walk(spec, epsilon, steps_cap, rng, start_override):
     """(t0, t_delayed, *_walk(...)): the starting epochs drawn from a new
     generator of rng, and the walk from them on the same generator."""
     g = rng.generator()
-    t0, t_delayed = _draw_starts(spec, g, pool_size, start_override)
+    t0, t_delayed = _draw_starts(spec, g, start_override)
     return t0, t_delayed, *_walk(spec, epsilon, steps_cap, g, t0, t_delayed)
 
 
@@ -312,16 +314,15 @@ def run_coupling(
     steps_cap: int,
     rng: RngStream,
     start_override: tuple | None = None,
-    pool_size: int = DEFAULT_POOL,
 ) -> CouplingRun:
     """Couple the stationary and delayed processes on one stream.
 
     ``start_override`` substitutes the two initial epochs (stationary,
     delayed); with equal values the walk starts at 0 and tau = 0.
     """
-    key = _walk_key(epsilon, steps_cap, rng, start_override, pool_size)
+    key = _walk_key(epsilon, steps_cap, rng, start_override)
     t0, t_delayed, tau, v_tau, plus_count, sum_plus, sum_minus, path, path_idx, steps = (
-        _fresh_walk(spec, epsilon, steps_cap, rng, start_override, pool_size))
+        _fresh_walk(spec, epsilon, steps_cap, rng, start_override))
     _handoff["walk"] = key, spec, (t0, t_delayed, tau, sum_plus, sum_minus, steps)
     coupled = tau is not None
     return CouplingRun(
@@ -346,7 +347,6 @@ def post_coupling_agreement(
     rng: RngStream,
     steps_cap: int = 10**7,
     start_override: tuple | None = None,
-    pool_size: int = DEFAULT_POOL,
 ) -> AgreementReport:
     """Verify that after the coupling step the matched arrivals of the two
     processes stay within [0, epsilon) with identical marks.
@@ -359,20 +359,20 @@ def post_coupling_agreement(
     Every call whose arguments pass the checks (``run_coupling``'s, and
     k_checks >= 0) takes and clears the walk ``run_coupling`` left behind.
     When that run had the same spec (the same object), epsilon,
-    steps_cap, rng, start_override (compared as two floats) and
-    pool_size, the continuation is read from its reader, positioned past
-    tau, instead of walking again; otherwise the walk is walked here.
+    steps_cap, rng and start_override (compared as two floats), the
+    continuation is read from its reader, positioned past tau, instead of
+    walking again; otherwise the walk is walked here.
     Either way the report equals that of a fresh walk, bit for bit.
     """
     if k_checks < 0:
         raise ValueError("k_checks must be >= 0")
-    key = _walk_key(epsilon, steps_cap, rng, start_override, pool_size)
+    key = _walk_key(epsilon, steps_cap, rng, start_override)
     slot = _handoff.pop("walk", None)
     if slot is not None and slot[1] is spec and slot[0] == key:
         t0, t_delayed, tau, sum_plus, sum_minus, steps = slot[2]
     else:
         t0, t_delayed, tau, _, _, sum_plus, sum_minus, _, _, steps = _fresh_walk(
-            spec, epsilon, steps_cap, rng, start_override, pool_size)
+            spec, epsilon, steps_cap, rng, start_override)
     if tau is None:
         return AgreementReport(epsilon, None, k_checks, (), None, capped=True)
 
@@ -397,11 +397,10 @@ def random_walk_path(
     n_steps: int,
     rng: RngStream,
     start_override: tuple | None = None,
-    pool_size: int = DEFAULT_POOL,
 ) -> np.ndarray:
     """Dense walk path V_0..V_n for diagnostics (no stopping)."""
     g = rng.generator()
-    t0, t_delayed = _draw_starts(spec, g, pool_size, start_override)
+    t0, t_delayed = _draw_starts(spec, g, start_override)
     steps = _signed_gaps(spec.interarrival, g, n_steps)
     return (t0 - t_delayed) + np.concatenate(([0.0], np.cumsum(steps)))
 

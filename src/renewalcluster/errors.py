@@ -17,10 +17,6 @@ class RunawayGenerationError(RenewalClusterError):
     """Arrival count exceeded the configured cap (mean interarrival ~ 0?)."""
 
 
-class UnboundedLawError(RenewalClusterError):
-    """Size-biased sampling requested for an unbounded law without a pool."""
-
-
 class NoPointAfterError(RenewalClusterError):
     """No process point found after t even with the extended window."""
 

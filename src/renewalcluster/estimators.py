@@ -40,8 +40,10 @@ __all__ = [
     "key_renewal_limit",
 ]
 
-# 99.7% two-sided normal CI by default; acceptance checks widen to 4 SE.
+# 99.7% two-sided normal CI; acceptance checks widen to 4 SE.
 DEFAULT_Z = 3.0
+# absolute and relative tolerance of the void probability's quadrature
+_QUAD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,15 +92,15 @@ class ExperimentReport:
         )
 
 
-def _report(values, tallies, target, rng, block, z=DEFAULT_Z):
+def _report(values, tallies, target, rng, block):
     values = np.asarray(values, dtype=np.float64)
     est = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(values.size))
     return ExperimentReport(
         estimate=est,
         std_error=se,
-        ci_low=est - z * se,
-        ci_high=est + z * se,
+        ci_low=est - DEFAULT_Z * se,
+        ci_high=est + DEFAULT_Z * se,
         n_rep=int(values.size),
         target=target,
         seed=rng.seed,
@@ -225,7 +227,6 @@ def estimate_forward_recurrence_cdf(
     n_rep: int,
     rng: RngStream,
     target=None,
-    z: float = DEFAULT_Z,
 ) -> CdfReport:
     """Empirical CDF of the gap to the first point strictly after t.
 
@@ -258,13 +259,13 @@ def estimate_forward_recurrence_cdf(
     block = block_size(spec, t + base_pad + guard)
     gaps = replicate(rows_of, n_rep, rng, block)[:, 0]
     values = empirical_cdf(gaps, x_grid)
-    half = z * np.sqrt(np.maximum(values * (1.0 - values), 0.0) / n_rep)
+    half = DEFAULT_Z * np.sqrt(np.maximum(values * (1.0 - values), 0.0) / n_rep)
     tgt = None if target is None else np.asarray(target, dtype=np.float64)
     return CdfReport(x_grid, values, half, n_rep, tgt, rng.seed, rng.stream_id, block)
 
 
 def bartlett_lewis_void_probability(
-    rate: float, mean_size: float, step_survival, x: float, tol: float = 1e-9
+    rate: float, mean_size: float, step_survival, x: float
 ) -> float:
     """Long-run probability of an empty length-x window for Poisson parents
     with forward-running step clusters.
@@ -274,8 +275,8 @@ def bartlett_lewis_void_probability(
     """
     if not x > 0:
         raise ValueError("x must be positive")
-    integral, err = integrate.quad(step_survival, 0.0, x, epsabs=tol, epsrel=tol)
-    if err > max(tol, abs(integral) * 1e-6):
+    integral, err = integrate.quad(step_survival, 0.0, x, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
+    if err > max(_QUAD_TOL, abs(integral) * 1e-6):
         raise QuadratureError(f"quadrature error {err} above tolerance")
     return float(np.exp(-rate * (x + mean_size * integral)))
 

@@ -42,6 +42,8 @@ __all__ = [
 # is a deterministic function of the spec alone.
 _PILOT_STREAM = RngStream(0x6A7D_BA5E)
 _PILOT_DRAWS = 10_000
+# The band is the (1 - GUARD_DELTA) quantile of the pilot's cluster radii.
+GUARD_DELTA = 1e-4
 
 # Replications per block: as many as fit this many expected arrivals, and
 # no more than BLOCK_ROWS.
@@ -228,12 +230,12 @@ def delayed_block(spec: ProcessSpec, rows: int, t_max: float, g) -> Block:
 
 
 @functools.lru_cache(maxsize=None)
-def guard_band(spec: ProcessSpec, delta: float = 1e-4) -> float:
+def guard_band(spec: ProcessSpec) -> float:
     """Simulation margin bounding cluster reach beyond the window.
 
-    The empirical (1 - delta) quantile of the cluster radius, estimated
-    from a fixed pilot sample, so that at most a delta fraction of clusters
-    can straddle the window edge from beyond the band.
+    The empirical (1 - GUARD_DELTA) quantile of the cluster radius,
+    estimated from a fixed pilot sample, so that at most a GUARD_DELTA
+    fraction of clusters can straddle the window edge from beyond the band.
     """
     def cluster_radii(model, xs):
         sizes, offs = model.sample_batch(np.asarray(xs, dtype=np.float64), g)
@@ -246,7 +248,7 @@ def guard_band(spec: ProcessSpec, delta: float = 1e-4) -> float:
         radii = np.concatenate([radii, cluster_radii(spec.delay_cluster, xs0)])
     if not radii.size or radii.max() == 0.0:
         return 0.0
-    return float(np.quantile(radii, 1.0 - delta)) + 1e-9
+    return float(np.quantile(radii, 1.0 - GUARD_DELTA)) + 1e-9
 
 
 def sample_delayed_marked_renewal(

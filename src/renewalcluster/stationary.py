@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnboundedLawError
 from .patterns import MarkedArrival, MarkedPattern, PointPattern, window_pattern
 from .process import ProcessSpec, _gaps_until, _marked_block, block_size, guard_band
 from .streams import RngStream
@@ -27,8 +26,6 @@ __all__ = [
     "stationary_block",
     "stationary_rows",
 ]
-
-DEFAULT_POOL = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,20 +54,21 @@ class TwoSidedMarkedPattern(MarkedPattern):
         return self.arrivals[self.origin_index]
 
 
-def _size_biased_gaps(law, n, g, pool_size=DEFAULT_POOL):
-    """n draws from the gap law reweighted proportionally to the gap.
+def _size_biased_gaps(law, n, g):
+    """n exact draws from the gap law reweighted proportionally to the gap.
 
-    Exact: from the law's closed-form size-biased law when it has one
+    From the law's closed-form size-biased law when it has one
     (Exponential, Gamma), else by rejection when the law has a finite
-    essential sup.  Otherwise weighted resampling from a pool of
-    ``pool_size`` candidates, which carries O(1/pool_size) bias.
+    essential sup, else (a mixture with an unbounded component) by
+    composition: component i with probability w_i E X_i / E X, then that
+    component's own size-biased draw.
     """
     exact = law.size_biased()
     if exact is not None:
         return np.asarray(exact.sample(g, n), dtype=np.float64)
+    out = np.empty(n)
     bound = law.sup_bound()
     if bound is not None:
-        out = np.empty(n)
         filled = 0
         # acceptance probability is mean/bound per candidate
         rate = max(law.mean() / bound, 1e-3)
@@ -82,36 +80,28 @@ def _size_biased_gaps(law, n, g, pool_size=DEFAULT_POOL):
             out[filled : filled + take] = acc[:take]
             filled += take
         return out
-    if pool_size is None or pool_size < 2:
-        raise UnboundedLawError(
-            "law has no essential sup; configure pool_size for weighted resampling"
-        )
-    xs = np.asarray(law.sample(g, pool_size), dtype=np.float64)
-    idx = g.choice(pool_size, size=n, p=xs / xs.sum())
-    return xs[idx]
+    p = np.array([w * comp.mean() for w, comp in law.components])
+    which = g.choice(p.size, size=n, p=p / p.sum())
+    for i, (_, comp) in enumerate(law.components):
+        mask = which == i
+        if mask.any():
+            out[mask] = _size_biased_gaps(comp, int(mask.sum()), g)
+    return out
 
 
-def sample_size_biased_gaps(
-    law, n: int, rng: RngStream, pool_size: int = DEFAULT_POOL
-) -> np.ndarray:
-    return _size_biased_gaps(law, n, rng.generator(), pool_size)
+def sample_size_biased_gaps(law, n: int, rng: RngStream) -> np.ndarray:
+    return _size_biased_gaps(law, n, rng.generator())
 
 
-def stationary_block(spec, rows, window_lo, window_hi, g, pool_size=DEFAULT_POOL):
+def stationary_block(spec, rows, window_lo, window_hi, g):
     """``rows`` replications of the stationary process covering the window
     plus guard bands, as a Block, and each row's origin index.
 
     Each row keeps the arrivals at -(1 - U) X* and U X*, the left arrivals
     down to window_lo - guard and the right ones up to window_hi + guard.
-    For a law with neither a closed-form size-biased law nor an essential
-    sup each row resamples its size-biased gap from a pool of its own.
     """
-    law = spec.interarrival
     guard = guard_band(spec)
-    if law.size_biased() is None and law.sup_bound() is None:
-        x_star = np.concatenate([_size_biased_gaps(law, 1, g, pool_size) for _ in range(rows)])
-    else:
-        x_star = _size_biased_gaps(law, rows, g, pool_size)
+    x_star = _size_biased_gaps(spec.interarrival, rows, g)
     u = g.random(rows)
     t0 = u * x_star
     tm1 = -(1.0 - u) * x_star
@@ -150,12 +140,11 @@ def sample_stationary_marked_renewal(
     window_lo: float,
     window_hi: float,
     rng: RngStream,
-    pool_size: int = DEFAULT_POOL,
 ) -> TwoSidedMarkedPattern:
     """Stationary marked renewal process covering (window_lo, window_hi]."""
     if not window_lo < window_hi:
         raise ValueError("need window_lo < window_hi")
-    blk, origin = stationary_block(spec, 1, window_lo, window_hi, rng.generator(), pool_size)
+    blk, origin = stationary_block(spec, 1, window_lo, window_hi, rng.generator())
     lo = float(np.nextafter(blk.epochs[0], -np.inf))
     hi = float(max(blk.epochs[-1], window_hi + guard_band(spec)))
     return TwoSidedMarkedPattern(blk.epochs, blk.gaps, blk.sizes, blk.offsets, (lo, hi),
@@ -167,10 +156,9 @@ def sample_stationary_cluster_process(
     window_lo: float,
     window_hi: float,
     rng: RngStream,
-    pool_size: int = DEFAULT_POOL,
 ) -> PointPattern:
     """Stationary renewal cluster process restricted to (window_lo, window_hi]."""
     if not window_lo < window_hi:
         raise ValueError("need window_lo < window_hi")
-    blk, _ = stationary_block(spec, 1, window_lo, window_hi, rng.generator(), pool_size)
+    blk, _ = stationary_block(spec, 1, window_lo, window_hi, rng.generator())
     return window_pattern(blk.all_points(), window_lo, window_hi)

@@ -46,8 +46,8 @@ class RngStream:
         return RngStream(self.seed, _mix64(self.stream_id, index))
 
 
-def stream_for(seed: int, experiment: str, replication: int = 0) -> RngStream:
-    """Stream for one replication of a named experiment."""
+def stream_for(seed: int, experiment: str) -> RngStream:
+    """Stream of a named experiment; its replications draw from substreams."""
     digest = hashlib.blake2b(experiment.encode(), digest_size=8).digest()
     base = int.from_bytes(digest, "little")
-    return RngStream(seed, _mix64(base, replication))
+    return RngStream(seed, _mix64(base, 0))

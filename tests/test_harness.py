@@ -293,6 +293,17 @@ class TestCli:
         )
         assert len(pat) > 0
 
+    def test_reps_only_where_replicated(self, tmp_path, capsys):
+        # simulate draws one realization: --reps is a usage error there
+        cfg = self._write(tmp_path, GATED_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", cfg, "--reps", "5", "--out", str(tmp_path / "sim")])
+        assert exc.value.code == 2
+        assert "--reps" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--reps", "50", "--out", str(out)]) == 0
+        assert "n_rep = 50" in (out / "manifest.txt").read_text().splitlines()
+
     @pytest.mark.parametrize("change", [
         ("window.hi = 50", "window.hi = abc"),
         ("seed = 2", "seed = x"),

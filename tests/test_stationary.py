@@ -16,8 +16,31 @@ from renewalcluster import (
     sample_stationary_marked_renewal,
     two_sample_ks,
 )
-from renewalcluster.errors import UnboundedLawError
-from renewalcluster.stationary import TwoSidedMarkedPattern
+from renewalcluster.stationary import TwoSidedMarkedPattern, stationary_block
+
+# E X = 0.75; composition draws U(0,1)'s X* with probability 1/3, not 1/2
+MIX = Mixture(((0.5, Uniform(0.0, 1.0)), (0.5, Exponential(1.0))))
+# (f, E f(X*) = E[X f(X)] / E X) for MIX
+MIX_TARGETS = [
+    (lambda x: x, (0.5 / 3.0 + 0.5 * 2.0) / 0.75),  # 14/9
+    (lambda x: x**2, (0.5 / 4.0 + 0.5 * 6.0) / 0.75),  # 25/6
+    # E[X 1{X > 1}] = 2/e for Exp(1), 0 for U(0,1)
+    (lambda x: (x > 1.0).astype(float), 0.5 * 2.0 / np.e / 0.75),
+    # E[X 1{X <= 1/2}] = 1/8 for U(0,1), 1 - 1.5 e^(-1/2) for Exp(1)
+    (lambda x: (x <= 0.5).astype(float), (0.5 / 8.0 + 0.5 * (1.0 - 1.5 * np.exp(-0.5))) / 0.75),
+]
+
+
+def mix_equilibrium_cdf(x):
+    """(1 / E X) int_0^x (1 - F(y)) dy for MIX: the law of U X*."""
+    m = np.minimum(x, 1.0)
+    return (0.5 * (m - m**2 / 2.0) + 0.5 * -np.expm1(-x)) / 0.75
+
+
+def z_scores(xs, cases):
+    """(mean of f(X*) - target) / SE for each (f, target)."""
+    vals = [(f(xs), target) for f, target in cases]
+    return np.array([(v.mean() - t) / (v.std() / np.sqrt(v.size)) for v, t in vals])
 
 
 class TestSizeBiasedGaps:
@@ -49,22 +72,19 @@ class TestSizeBiasedGaps:
 
     def test_exponential_pool_fallback(self):
         # size-biased Exponential(1) is Gamma(2, 1): mean 2
-        xs = sample_size_biased_gaps(Exponential(1.0), 100_000, RngStream(63), pool_size=200_000)
+        xs = sample_size_biased_gaps(Exponential(1.0), 100_000, RngStream(63))
         se = xs.std() / np.sqrt(xs.size)
         assert abs(xs.mean() - 2.0) < 5 * se + 0.02
 
-    def test_unbounded_without_pool_raises(self):
-        # no essential sup and no closed form: only a pool can serve it
-        law = Mixture(((0.5, Uniform(0.0, 1.0)), (0.5, Exponential(1.0))))
-        with pytest.raises(UnboundedLawError):
-            sample_size_biased_gaps(law, 10, RngStream(64), pool_size=None)
-
-    def test_mixture_pool_fallback(self):
-        # E X* = E X^2 / E X = (0.5/3 + 0.5*2) / 0.75 = 14/9
-        law = Mixture(((0.5, Uniform(0.0, 1.0)), (0.5, Exponential(1.0))))
-        xs = sample_size_biased_gaps(law, 100_000, RngStream(67), pool_size=200_000)
-        se = xs.std() / np.sqrt(xs.size)
-        assert abs(xs.mean() - 14.0 / 9.0) < 5 * se + 0.02
+    def test_mixture_by_composition(self):
+        # no essential sup and no closed form: exact by composition
+        xs = sample_size_biased_gaps(MIX, 100_000, RngStream(67))
+        assert np.all(np.abs(z_scores(xs, MIX_TARGETS)) < 4)
+        # negative control: the components' X* mixed with the plain weights
+        u_star = sample_size_biased_gaps(Uniform(0.0, 1.0), 100_000, RngStream(64))
+        e_star = sample_size_biased_gaps(Exponential(1.0), 100_000, RngStream(65))
+        wrong = np.where(RngStream(69).generator().random(100_000) < 0.5, u_star, e_star)
+        assert np.any(np.abs(z_scores(wrong, MIX_TARGETS)) >= 4)
 
     @pytest.mark.parametrize(
         "law, shape, scale",
@@ -72,8 +92,8 @@ class TestSizeBiasedGaps:
         ids=["exp1", "exp4", "gamma"],
     )
     def test_closed_form_draws_follow_gamma(self, law, shape, scale):
-        # exact draws need no pool; X* is Gamma(shape + 1) for a Gamma(shape) law
-        xs = sample_size_biased_gaps(law, 20_000, RngStream(66), pool_size=None)
+        # X* is Gamma(shape + 1) for a Gamma(shape) law
+        xs = sample_size_biased_gaps(law, 20_000, RngStream(66))
         assert stats.kstest(xs, stats.gamma(shape, scale=scale).cdf).pvalue > 1e-3
         # negative control: draws of the plain law must be rejected
         plain = law.sample(RngStream(68).generator(), 20_000)
@@ -121,6 +141,18 @@ class TestStationaryConstruction:
         se = t0s.std() / np.sqrt(t0s.size)
         assert abs(t0s.mean() - 5.0 / 3.0) < 4 * se
 
+    def test_mixture_origin_epoch_is_equilibrium(self):
+        # the origin arrival U X* of every row follows the equilibrium law
+        rows = 20_000
+        spec = ProcessSpec(MIX, EmptyCluster())
+        blk, origin = stationary_block(spec, rows, -1.0, 1.0, RngStream(78).generator())
+        t0 = blk.epochs[blk.starts[:-1] + origin]
+        assert stats.kstest(t0, mix_equilibrium_cdf).pvalue > 1e-3
+        # negative control: U X, a plain gap split at random, must be rejected
+        g = RngStream(79).generator()
+        plain = g.random(rows) * MIX.sample(g, rows)
+        assert stats.kstest(plain, mix_equilibrium_cdf).pvalue < 1e-3
+
     def test_covers_requested_window(self):
         spec = gated_cluster_preset()
         m = sample_stationary_marked_renewal(spec, -30.0, 30.0, RngStream(75))
@@ -135,9 +167,7 @@ class TestStationaryConstruction:
         spec = ProcessSpec(Exponential(1.0), EmptyCluster())
         t0s = np.array(
             [
-                sample_stationary_marked_renewal(
-                    spec, -1.0, 1.0, RngStream(76, r), pool_size=100_000
-                ).origin.epoch
+                sample_stationary_marked_renewal(spec, -1.0, 1.0, RngStream(76, r)).origin.epoch
                 for r in range(3000)
             ]
         )

@@ -11,6 +11,15 @@ holds), one on a capped walk, and two from equal starts (tau 0), each
 with the sha256 of the first 40,000 signed steps after tau.  Every
 recorded float, the coupling time and the agreement's max gap included,
 must match to the bit.
+
+The mixture's walks start from a size-biased gap, which 6f4976f drew from
+a weighted pool.  Their rows were recorded again on 6f4976f with only that
+pool branch replaced by composition, the exact draw the package makes now
+(``stationary._size_biased_gaps``); the equal-start rows and the capped
+walks that stayed capped did not change.  The new starts cap three mixture
+agreements whose walks coupled before (substream 0 at caps 2^14, 2^14 + 1
+and 20,000); they keep a continuation hash, of the 40,000 steps after the
+cap.  The three at substream 4 were capped and now couple.
 """
 
 import hashlib
@@ -31,7 +40,6 @@ from renewalcluster.coupling import (
     run_coupling,
 )
 from renewalcluster.process import ProcessSpec
-from renewalcluster.stationary import DEFAULT_POOL
 
 TABLE = json.loads((Path(__file__).parent / "data" / "walk_parity_laws.json").read_text())
 EPS = TABLE["epsilon"]
@@ -92,11 +100,12 @@ def test_agreement_matches_recorded(rec):
 
 
 def _continuation(rec, n=40_000):
-    """The first n shared steps after tau, read in uneven chunks."""
+    """The first n shared steps after tau (after the cap for a capped
+    walk), read in uneven chunks."""
     spec = _spec(rec["law"])
     g = _rng(rec).generator()
     start = rec["start_override"]
-    t0, t_delayed = _draw_starts(spec, g, DEFAULT_POOL, None if start is None else tuple(start))
+    t0, t_delayed = _draw_starts(spec, g, None if start is None else tuple(start))
     *_, steps = _walk(spec, EPS, rec["cap"], g, t0, t_delayed)
     parts, chunk = [], 1
     while n:
@@ -108,7 +117,7 @@ def _continuation(rec, n=40_000):
 
 @pytest.mark.parametrize(
     "rec",
-    [a for a in TABLE["agreements"] if a["tau"] is not None],
+    [a for a in TABLE["agreements"] if a["continuation_sha256"] is not None],
     ids=lambda a: f"{a['law']}-s{a['substream']}-cap{a['cap']}"
     + ("-equal" if a["start_override"] else ""),
 )
