@@ -1,5 +1,5 @@
 """Monte Carlo checks of the long-run limits: window means, void
-probabilities, the forward recurrence CDF, and the renewal convolution.
+probabilities and the key renewal theorem.
 
 Run: python demos/limit_theorems.py
 """
@@ -12,12 +12,10 @@ from renewalcluster import (
     StepFunction,
     bartlett_lewis_preset,
     bartlett_lewis_void_probability,
-    estimate_renewal_function,
+    estimate_key_renewal,
     estimate_void_probability,
     estimate_window_mean,
     gated_cluster_preset,
-    key_renewal_convolve,
-    key_renewal_limit,
     stream_for,
 )
 
@@ -33,13 +31,11 @@ def main():
     closed = bartlett_lewis_void_probability(1.0, 1.0, lambda y: np.exp(-y), 1.0)
     print(f"void probability: empirical {void.estimate:.4f}, closed form {closed:.5f}")
 
-    # renewal convolution against its key-renewal limit
+    # sum of g(t - y) over the points y against its key-renewal limit
     g = StepFunction(((0.0, 1.0, 1.0), (2.0, 4.0, 0.5)))
-    grid = np.array([196.0, 198.0, 199.0, 200.0])
-    tab = estimate_renewal_function(gated, grid, 10_000, stream_for(0, "demo-renewal"))
-    value = key_renewal_convolve(tab, g, 200.0)
-    print(f"renewal convolution at t=200: {value:.4f} "
-          f"(limit {key_renewal_limit(gated, g):.4f})")
+    key = estimate_key_renewal(gated, 200.0, g, 10_000, stream_for(0, "demo-renewal"))
+    print(f"key renewal sum at t=200: {key.estimate:.4f} +- {key.std_error:.4f} "
+          f"(limit {key.target:.4f})")
 
 
 if __name__ == "__main__":

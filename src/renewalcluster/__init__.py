@@ -25,13 +25,12 @@ from .estimators import (
     bartlett_lewis_void_probability,
     estimate_elementary_ratio,
     estimate_forward_recurrence_cdf,
+    estimate_key_renewal,
     estimate_renewal_function,
     estimate_void_probability,
     estimate_window_mean,
-    key_renewal_convolve,
     key_renewal_limit,
     theoretical_blackwell_limit,
-    theoretical_mean_measure,
 )
 from .laws import Exponential, FixedCount, GammaLaw, Mixture, PoissonCount, Uniform
 from .patterns import (

@@ -21,10 +21,6 @@ class NoPointAfterError(RenewalClusterError):
     """No process point found after t even with the extended window."""
 
 
-class SupportRangeError(RenewalClusterError):
-    """Step-function support exceeds the tabulated range."""
-
-
 class QuadratureError(RenewalClusterError):
     """Adaptive quadrature failed to converge to the requested tolerance."""
 

@@ -3,8 +3,10 @@
 Each estimator simulates its replications in blocks of B rows (see
 ``replicate``), where block k draws from substream k of the experiment's
 stream, so results depend only on the seed, B and the replication count,
-never on the order in which blocks run.  Each reports a
-normal-approximation confidence interval next to its closed-form limit.
+never on the order in which blocks run.  The scalar estimators (window
+mean, elementary ratio, void probability, key renewal sum) report an
+``ExperimentReport``: a normal-approximation confidence interval next to
+the closed-form limit.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
-from scipy.optimize import isotonic_regression
 
-from .errors import NoPointAfterError, QuadratureError, SupportRangeError
+from .errors import NoPointAfterError, QuadratureError
 from .patterns import csv_text
 from .process import ProcessSpec, block_size, delayed_block, guard_band
 from .stats import empirical_cdf
@@ -28,7 +29,6 @@ __all__ = [
     "RenewalFunctionTable",
     "replicate",
     "theoretical_blackwell_limit",
-    "theoretical_mean_measure",
     "estimate_window_mean",
     "estimate_elementary_ratio",
     "estimate_forward_recurrence_cdf",
@@ -36,7 +36,7 @@ __all__ = [
     "bartlett_lewis_recurrence_cdf",
     "estimate_void_probability",
     "estimate_renewal_function",
-    "key_renewal_convolve",
+    "estimate_key_renewal",
     "key_renewal_limit",
 ]
 
@@ -156,13 +156,6 @@ def theoretical_blackwell_limit(spec: ProcessSpec, x: float) -> float:
     if not x > 0:
         raise ValueError("x must be positive")
     return _rate_term(spec) * x
-
-
-def theoretical_mean_measure(spec: ProcessSpec, a: float, b: float) -> float:
-    """Mean count of the stationary process on (a, b]."""
-    if a > b:
-        raise ValueError("need a <= b")
-    return _rate_term(spec) * (b - a)
 
 
 def estimate_window_mean(
@@ -332,23 +325,22 @@ def estimate_void_probability(
 class RenewalFunctionTable:
     """Tabulated expected cumulative count up to each grid time.
 
-    ``corrected`` is the isotonic regression of the raw Monte Carlo means;
-    the raw values are kept so the size of the correction can be audited.
+    ``raw`` is the column mean of per-replication cumulative counts, so it
+    is nondecreasing in the grid without any fit.
     """
 
     grid: np.ndarray
     raw: np.ndarray
-    corrected: np.ndarray
     std_errors: np.ndarray
     n_rep: int
     seed: int
     stream_id: int
     block: int | None = field(default=None, compare=False)
 
-    CSV_HEADER = "t,raw,corrected,std_error"
+    CSV_HEADER = "t,raw,std_error"
 
     def to_csv(self) -> str:
-        return csv_text(self.CSV_HEADER, self.grid, self.raw, self.corrected, self.std_errors)
+        return csv_text(self.CSV_HEADER, self.grid, self.raw, self.std_errors)
 
 
 def estimate_renewal_function(
@@ -367,10 +359,7 @@ def estimate_renewal_function(
     counts = replicate(fn, n_rep, rng, block).astype(np.float64)
     raw = counts.mean(axis=0)
     se = counts.std(axis=0, ddof=1) / np.sqrt(n_rep)
-    corrected = isotonic_regression(raw).x
-    return RenewalFunctionTable(
-        t_grid, raw, corrected, se, n_rep, rng.seed, rng.stream_id, block
-    )
+    return RenewalFunctionTable(t_grid, raw, se, n_rep, rng.seed, rng.stream_id, block)
 
 
 @dataclass(frozen=True)
@@ -400,27 +389,35 @@ class StepFunction:
     def integral(self) -> float:
         return float(sum(h * (b - a) for a, b, h in self.pieces))
 
-    def support_max(self) -> float:
-        return float(max((b for _, b, _ in self.pieces), default=0.0))
-
-
-def key_renewal_convolve(U_tab: RenewalFunctionTable, g: StepFunction, t: float) -> float:
-    """Riemann-Stieltjes sum of g(t - y) against the tabulated increments.
-
-    With g = indicator of [0, x) this reduces exactly to
-    U(t) - U(t - x) on the table.
-    """
-    grid = U_tab.grid
-    if not (grid[0] <= t <= grid[-1]):
-        raise SupportRangeError(f"t={t} outside tabulated range")
-    if t - g.support_max() < grid[0] - 1e-12 and g.pieces:
-        raise SupportRangeError("step-function support exceeds the tabulated range")
-    u = U_tab.corrected
-    increments = np.diff(np.concatenate(([0.0], u)))
-    weights = g(t - grid)
-    return float(np.sum(weights * increments))
-
 
 def key_renewal_limit(spec: ProcessSpec, g: StepFunction) -> float:
-    """Closed-form limit of the renewal convolution: rate times integral."""
+    """Key renewal limit of E sum_y g(t - y) over the points y: rate times
+    the integral of g."""
     return _rate_term(spec) * g.integral()
+
+
+def estimate_key_renewal(
+    spec: ProcessSpec,
+    t: float,
+    g: StepFunction,
+    n_rep: int,
+    rng: RngStream,
+) -> ExperimentReport:
+    """Monte Carlo mean of sum_y g(t - y) over the points y.
+
+    Per replication, each piece ([a, b), h) of g adds h times the count in
+    (t - b, t - a], all read from one delayed block on (0, t - min a]; the
+    tally is the overflow of (t - max b, t - min a].  With g the indicator
+    of [0, x) this is ``estimate_window_mean(spec, t - x, x, ...)``, draw
+    for draw.
+    """
+    lo = t - max(b for _, b, _ in g.pieces)
+    hi = t - min(a for a, _, _ in g.pieces)
+
+    def read(blk):
+        value = sum(h * blk.window_counts(t - b, t - a)[0] for a, b, h in g.pieces)
+        return np.column_stack([value, blk.window_counts(lo, hi)[1]])
+
+    fn, block = _delayed_rows(spec, hi, read)
+    out = replicate(fn, n_rep, rng, block)
+    return _report(out[:, 0], out[:, 1], key_renewal_limit(spec, g), rng, block)

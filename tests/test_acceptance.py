@@ -18,12 +18,10 @@ from renewalcluster import (
     bartlett_lewis_recurrence_cdf,
     estimate_elementary_ratio,
     estimate_forward_recurrence_cdf,
-    estimate_renewal_function,
+    estimate_key_renewal,
     estimate_void_probability,
     estimate_window_mean,
     gated_cluster_preset,
-    key_renewal_convolve,
-    key_renewal_limit,
     post_coupling_agreement,
     rademacher_flip_test,
     sample_size_biased_gaps,
@@ -207,25 +205,22 @@ class TestAcceptance:
 
     def test_10_key_renewal(self):
         spec = gated_cluster_preset()
+        rng = stream_for(0, "acceptance-key-renewal")
         g = StepFunction(((0.0, 1.0, 1.0), (2.0, 4.0, 0.5)))
-        grid = np.array([496.0, 498.0, 499.0, 500.0])
-        tab = estimate_renewal_function(
-            spec, grid, 50_000, stream_for(0, "acceptance-key-renewal")
-        )
-        value = key_renewal_convolve(tab, g, 500.0)
-        limit = key_renewal_limit(spec, g)
-        ok_value = abs(value - limit) <= 0.02 * limit
-        # with g an indicator of [0, x) the sum is exactly a table difference
-        ind = StepFunction(((0.0, 2.0, 1.0),))
-        exact = key_renewal_convolve(tab, ind, 500.0)
-        ok_exact = exact == pytest.approx(
-            tab.corrected[-1] - tab.corrected[1], rel=1e-12
-        )
+        rep = estimate_key_renewal(spec, 500.0, g, 50_000, rng)
+        ok_value = abs(rep.estimate - rep.target) <= 0.02 * rep.target
+        # negative control: at t = 1 the process is far from its limit, so
+        # the same 2% rule must reject
+        unit = StepFunction(((0.0, 1.0, 1.0),))
+        control = estimate_key_renewal(spec, 1.0, unit, 50_000, rng)
+        rejected = abs(control.estimate - control.target) > 0.02 * control.target
+        z = (control.estimate - control.target) / control.std_error
         _verdict(
             10,
-            f"renewal convolution {value:.4f} within 2% of limit {limit:.4f}; "
-            "indicator case equals the table difference exactly",
-            ok_value and ok_exact,
+            f"key renewal sum {rep.estimate:.4f} within 2% of limit {rep.target:.4f}; "
+            f"control g = 1[0, 1) at t = 1 rejected ({control.estimate:.4f} against "
+            f"{control.target:.4f}, z = {z:.0f})",
+            ok_value and rejected,
         )
 
     def test_11_determinism(self, tmp_path, reverse_blocks):

@@ -15,16 +15,14 @@ from renewalcluster import (
     bartlett_lewis_recurrence_cdf,
     bartlett_lewis_void_probability,
     estimate_elementary_ratio,
+    estimate_key_renewal,
     estimate_renewal_function,
     estimate_void_probability,
     estimate_window_mean,
     gated_cluster_preset,
-    key_renewal_convolve,
     key_renewal_limit,
     theoretical_blackwell_limit,
-    theoretical_mean_measure,
 )
-from renewalcluster.errors import SupportRangeError
 from renewalcluster.estimators import _report, _window_rows
 
 
@@ -35,11 +33,13 @@ class TestTheoreticalLimits:
         assert theoretical_blackwell_limit(spec, 1.0) == pytest.approx(8.0)
 
     def test_mean_measure_cases(self):
+        # the stationary mean count of a window is the limit for its length
         gated = gated_cluster_preset()
-        assert theoretical_mean_measure(gated, 0.0, 2.0) == pytest.approx(1.12)
+        assert theoretical_blackwell_limit(gated, 2.0) == pytest.approx(1.12)
         bl = bartlett_lewis_preset(1.0, PoissonCount(1.0), Exponential(1.0))
-        assert theoretical_mean_measure(bl, 0.0, 3.0) == pytest.approx(6.0)
-        assert theoretical_mean_measure(bl, 1.0, 1.0) == 0.0
+        assert theoretical_blackwell_limit(bl, 3.0) == pytest.approx(6.0)
+        with pytest.raises(ValueError):
+            theoretical_blackwell_limit(bl, 0.0)
 
 
 class TestWindowMean:
@@ -141,19 +141,20 @@ class TestRenewalFunction:
         grid = np.array([1.0, 2.0, 5.0, 10.0])
         tab = estimate_renewal_function(spec, grid, 3000, RngStream(120))
         target = grid + 1.0
-        assert np.all(np.abs(tab.corrected - target) < 4 * tab.std_errors + 1e-9)
+        assert np.all(np.abs(tab.raw - target) < 4 * tab.std_errors + 1e-9)
 
     def test_empty_process_zero(self):
         spec = ProcessSpec(Exponential(1.0), EmptyCluster())
         tab = estimate_renewal_function(spec, [1.0, 2.0], 50, RngStream(121))
-        assert np.all(tab.corrected == 0.0)
+        assert np.all(tab.raw == 0.0)
 
-    def test_isotonic_correction_is_monotone_and_close(self):
+    def test_raw_is_nondecreasing(self):
+        # means of cumulative integer counts: monotone exactly, with no fit
         spec = gated_cluster_preset()
-        grid = np.linspace(1.0, 20.0, 8)
+        grid = np.array([-3.0, 1.0, 1.0, 3.7, 8.0, 20.0])
         tab = estimate_renewal_function(spec, grid, 800, RngStream(122))
-        assert np.all(np.diff(tab.corrected) >= -1e-12)
-        assert np.all(np.abs(tab.corrected - tab.raw) <= 4 * tab.std_errors + 1e-9)
+        assert np.all(np.diff(tab.raw) >= 0.0)
+        assert tab.raw[1] == tab.raw[2]
 
 
 class TestStepFunction:
@@ -163,7 +164,7 @@ class TestStepFunction:
         assert g(1.5) == 0.0
         assert g(3.0) == 0.5
         assert g.integral() == pytest.approx(2.0)
-        assert g.support_max() == 4.0
+        assert g(4.0) == 0.0 and g(-0.5) == 0.0
 
     def test_overlapping_pieces_rejected(self):
         with pytest.raises(ValueError):
@@ -176,15 +177,19 @@ class TestStepFunction:
 
 class TestKeyRenewal:
     def test_indicator_reduces_to_table_difference(self):
+        # the same draws read two ways: window counts against grid counts
         spec = bartlett_lewis_preset(1.0, FixedCount(0), Exponential(1.0))
-        grid = np.arange(0.0, 21.0, 1.0)
-        tab = estimate_renewal_function(spec, grid, 500, RngStream(123))
         g = StepFunction(((0.0, 5.0, 1.0),))
-        t = 20.0
-        conv = key_renewal_convolve(tab, g, t)
-        u = tab.corrected
-        exact = u[-1] - u[int(t - 5.0)]
-        assert conv == pytest.approx(exact, rel=1e-12)
+        rep = estimate_key_renewal(spec, 20.0, g, 500, RngStream(123))
+        tab = estimate_renewal_function(spec, [15.0, 20.0], 500, RngStream(123))
+        assert rep.estimate == pytest.approx(tab.raw[1] - tab.raw[0], rel=1e-12)
+
+    def test_indicator_equals_window_mean(self):
+        spec = gated_cluster_preset()
+        g = StepFunction(((0.0, 1.5, 1.0),))
+        rep = estimate_key_renewal(spec, 50.0, g, 300, RngStream(126))
+        assert rep == estimate_window_mean(spec, 48.5, 1.5, 300, RngStream(126))
+        assert rep.block == _window_rows(spec, 48.5, 50.0)[1]
 
     def test_limit_value(self):
         spec = bartlett_lewis_preset(1.0, FixedCount(0), Exponential(1.0))
@@ -193,21 +198,10 @@ class TestKeyRenewal:
 
     def test_convolution_approaches_limit(self):
         spec = bartlett_lewis_preset(1.0, FixedCount(0), Exponential(1.0))
-        grid = np.arange(0.0, 41.0, 1.0)
-        tab = estimate_renewal_function(spec, grid, 4000, RngStream(124))
         g = StepFunction(((0.0, 1.0, 1.0), (2.0, 4.0, 0.5)))
-        conv = key_renewal_convolve(tab, g, 40.0)
-        assert conv == pytest.approx(key_renewal_limit(spec, g), rel=0.05)
-
-    def test_support_range_errors(self):
-        spec = bartlett_lewis_preset(1.0, FixedCount(0), Exponential(1.0))
-        tab = estimate_renewal_function(spec, [0.0, 1.0, 2.0], 50, RngStream(125))
-        g = StepFunction(((0.0, 1.0, 1.0),))
-        with pytest.raises(SupportRangeError):
-            key_renewal_convolve(tab, g, 5.0)
-        wide = StepFunction(((0.0, 10.0, 1.0),))
-        with pytest.raises(SupportRangeError):
-            key_renewal_convolve(tab, wide, 2.0)
+        rep = estimate_key_renewal(spec, 40.0, g, 4000, RngStream(124))
+        assert rep.target == pytest.approx(key_renewal_limit(spec, g))
+        assert rep.within(4.0)
 
 
 class TestReportSerialization:

@@ -221,6 +221,16 @@ class TestRunner:
         text = (tmp_path / "flip.csv").read_text()
         assert "stopping" in text and "peek_ahead" in text
 
+    @pytest.mark.parametrize("t, g, status", [
+        ("500", "0:1.5:1", 0),  # breakpoint 1.5 off any integer grid
+        ("1", "0:1:1", 1),  # far from the limit: must fail
+    ], ids=["settled", "unsettled"])
+    def test_key_renewal_verdict(self, tmp_path, t, g, status):
+        raw = parse_kv(GATED_CONFIG.replace("experiment = window_mean", "experiment = key_renewal")
+                       .replace("t = 20\nx = 1\n", f"t = {t}\ng = {g}\n")
+                       .replace("n_rep = 200\nseed = 3", "n_rep = 20000\nseed = 0"))
+        assert run_experiment(build_experiment_config(raw), tmp_path) == status
+
     def test_block_order_byte_identical(self, tmp_path, reverse_blocks):
         raw = parse_kv(GATED_CONFIG.replace("t = 20", "t = 500"))
         cfg = build_experiment_config(raw)
@@ -246,10 +256,10 @@ class TestRunner:
          "cluster.size.rate = 1\ncluster.step.kind = exponential\n"
          "cluster.step.rate = 1\ninclude_parents = true\n"
          "experiment = recurrence_cdf\nt = 200\ngrid = 0,1.5,3\n", "cdf.csv"),
-        (GATED_CONFIG.replace("experiment = window_mean", "experiment = key_renewal")
-         .replace("t = 20\nx = 1\n", "t = 500\ngrid = 496,498,499,500\ng = 0:1:1;2:4:0.5\n"),
+        (GATED_CONFIG.replace("experiment = window_mean", "experiment = renewal_function")
+         .replace("t = 20\nx = 1\n", "grid = 496,498,499,500\n"),
          "renewal.csv"),
-    ], ids=["recurrence_cdf", "key_renewal"])
+    ], ids=["recurrence_cdf", "renewal_function"])
     def test_csv_fields_parse_as_floats(self, tmp_path, text, artifact):
         raw = parse_kv(text)
         run_experiment(build_experiment_config(raw), tmp_path, raw_config=raw)
@@ -335,9 +345,14 @@ class TestCli:
         .replace("t = 20\nx = 1\n", "grid = 1,5\n").replace("n_rep = 200", "n_rep = 1"),
         GATED_CONFIG.replace("experiment = window_mean", "experiment = stationarity_check")
         .replace("t = 20\nx = 1\n", "shifts = 0,10\n").replace("n_rep = 200", "n_rep = 1"),
+        GATED_CONFIG.replace("experiment = window_mean", "experiment = key_renewal")
+        .replace("x = 1\n", "g = 0:2:1;1:3:1\n"),
+        GATED_CONFIG.replace("experiment = window_mean", "experiment = key_renewal")
+        .replace("x = 1\n", "g = 0:1\n"),
     ], ids=["window_mean-x-negative", "window_mean-n_rep-0", "renewal_function-grid-unsorted",
             "coupling-n_rep-0", "elementary-n_rep-1", "renewal_function-n_rep-1",
-            "stationarity_check-n_rep-1"])
+            "stationarity_check-n_rep-1", "key_renewal-pieces-overlap",
+            "key_renewal-piece-two-fields"])
     def test_verify_bad_value_exit_two(self, tmp_path, text, capsys):
         assert text != GATED_CONFIG
         cfg = self._write(tmp_path, text)

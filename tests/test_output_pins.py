@@ -1,5 +1,9 @@
 """Byte pins: sha256 of seeded outputs, recorded from commit 8b8c1f6.
 
+The ``key_renewal`` pins were re-recorded when the kind became a reported
+estimator (one ``report.csv`` format, no ``grid``, no ``renewal.csv``), and
+``renewal_function/renewal.csv`` when its no-op ``corrected`` column went.
+
 The marked-path CSVs, both ``flatten`` outputs, the stationary path with
 its origin index, and every artifact plus the manifest of each experiment
 kind must hash exactly as recorded there.  A refactor that changes one
@@ -23,6 +27,7 @@ from renewalcluster import (
     sample_stationary_marked_renewal,
 )
 from renewalcluster.config import build_experiment_config, parse_kv
+from renewalcluster.estimators import ExperimentReport
 from renewalcluster.runner import run_experiment
 
 GATED = ("interarrival.kind = uniform\ninterarrival.lo = 0\ninterarrival.hi = 5\n"
@@ -38,7 +43,7 @@ KIND_CONFIGS = {
     "recurrence_cdf": BARTLETT_LEWIS + "t = 50\ngrid = 0,1.5,3\nn_rep = 50\n",
     "void_prob": BARTLETT_LEWIS + "t = 50\nx = 1\nn_rep = 50\n",
     "renewal_function": GATED + "grid = 1,2,5\nn_rep = 50\n",
-    "key_renewal": GATED + "t = 50\ngrid = 46,48,49,50\ng = 0:1:1;2:4:0.5\nn_rep = 50\n",
+    "key_renewal": GATED + "t = 50\ng = 0:1:1;2:4:0.5\nn_rep = 50\n",
     "coupling": GATED + "epsilon = 0.2\nsteps_cap = 100000\nk_checks = 20\nn_rep = 10\n",
     "stationarity_check": GATED + "shifts = 0,10\nx = 1\nn_rep = 100\n",
     "flip_test": "n = 20\nn_rep = 500\n",
@@ -67,16 +72,15 @@ PINS = {
     "flip_test/status": "0",
     "flip_test/flip.csv": "ce1d2f306a674bffa03cffaf52426d17f28d7b7019ee20be8501b9a26e401310",
     "flip_test/manifest.txt": "ced6105ba386df8e60c7dc27f2c838d30a2fed03e42fbc2a5bcde0d3bcb397c0",
-    "key_renewal/status": "1",
-    "key_renewal/manifest.txt": "3505db604767d650c8a9369a29c42067e700611eb03253093bdae5d195dd0427",
-    "key_renewal/renewal.csv": "2ee9fde5a58eb1635b3e29c3f31fd7e70653cea345b95abd543862474ee23686",
-    "key_renewal/report.csv": "ccdbf4db2a3f13db6707c40b0111435bffa66f186ed32bb40df4c0c510183605",
+    "key_renewal/status": "0",
+    "key_renewal/manifest.txt": "ec7ba61afdbbfe82c0ec8d7ce58f3d62576a5d30539f5642762d8c3a83cd30a8",
+    "key_renewal/report.csv": "618dfc9b78566b133fc860b6b19d6e2bf7a09c0058b012ea77352fe798de4aed",
     "recurrence_cdf/status": "1",
     "recurrence_cdf/cdf.csv": "273e844d71d30d3cf71bf971357d7cd0d9ace1c5d09fce5675c3d52ad0a4e3bc",
     "recurrence_cdf/manifest.txt": "8b8b88069ab98612f18f93ae4ae4fac21ed535507340082aa5efdeca9cc67004",
     "renewal_function/status": "0",
     "renewal_function/manifest.txt": "4b51966f282a977ca173642a06fa86f8ef7e1bf398f1d0aa83876f1844ab2263",
-    "renewal_function/renewal.csv": "e6eb38642294244083ef34e833b91df6eb5762193c88652c38962f05c4907bde",
+    "renewal_function/renewal.csv": "85661946cae0edb48c4450b411b06ffeaaccc073ae2fb7e23579209f3b38aa2d",
     "stationarity_check/status": "0",
     "stationarity_check/manifest.txt": "dcc964061890399676d05f318ee0908f71254c1ceefc932e27f8475d5c21a860",
     "stationarity_check/stationarity.csv": "09508d634b9309fac8fea0fdbee0b1a457e64e3d4a0ee684bf02da7373f03519",
@@ -111,12 +115,16 @@ def path_outputs(preset):
     }
 
 
+def run_kind(kind, out_dir):
+    """Run this kind's pinned config at seed 1; return its exit status."""
+    raw = parse_kv(f"experiment = {kind}\n" + KIND_CONFIGS[kind] + "seed = 1\n")
+    return run_experiment(build_experiment_config(raw), out_dir, raw_config=raw)
+
+
 def kind_outputs(kind, out_dir):
     """Hashes of every file run_experiment writes for this kind at seed 1,
     and its exit status."""
-    raw = parse_kv(f"experiment = {kind}\n" + KIND_CONFIGS[kind] + "seed = 1\n")
-    status = run_experiment(build_experiment_config(raw), out_dir, raw_config=raw)
-    out = {f"{kind}/status": str(status)}
+    out = {f"{kind}/status": str(run_kind(kind, out_dir))}
     for f in sorted(out_dir.iterdir()):
         out[f"{kind}/{f.name}"] = sha(f.read_text(encoding="utf-8"))
     return out
@@ -132,3 +140,15 @@ def test_marked_paths_match_pins(preset):
 def test_experiment_artifacts_match_pins(kind, tmp_path):
     got = kind_outputs(kind, tmp_path)
     assert got == {k: v for k, v in PINS.items() if k.startswith(f"{kind}/")}
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_CONFIGS))
+def test_report_csv_has_one_format(kind, tmp_path):
+    """A kind that writes report.csv writes ExperimentReport's header and
+    one row that reads back to the same report."""
+    run_kind(kind, tmp_path)
+    path = tmp_path / "report.csv"
+    if path.exists():
+        header, row = path.read_text(encoding="utf-8").splitlines()
+        assert header == ExperimentReport.CSV_HEADER
+        assert ExperimentReport.from_csv_row(row).to_csv_row() == row

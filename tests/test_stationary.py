@@ -70,12 +70,6 @@ class TestSizeBiasedGaps:
             se = vals.std() / np.sqrt(vals.size)
             assert abs(vals.mean() - target) < 4 * se + 1e-12
 
-    def test_exponential_pool_fallback(self):
-        # size-biased Exponential(1) is Gamma(2, 1): mean 2
-        xs = sample_size_biased_gaps(Exponential(1.0), 100_000, RngStream(63))
-        se = xs.std() / np.sqrt(xs.size)
-        assert abs(xs.mean() - 2.0) < 5 * se + 0.02
-
     def test_mixture_by_composition(self):
         # no essential sup and no closed form: exact by composition
         xs = sample_size_biased_gaps(MIX, 100_000, RngStream(67))
