@@ -379,13 +379,6 @@ class StepFunction:
             if a2 < b1:
                 raise ValueError("pieces must be pairwise disjoint")
 
-    def __call__(self, y):
-        y = np.asarray(y, dtype=np.float64)
-        out = np.zeros_like(y)
-        for a, b, h in self.pieces:
-            out = out + h * ((y >= a) & (y < b))
-        return out
-
     def integral(self) -> float:
         return float(sum(h * (b - a) for a, b, h in self.pieces))
 
