@@ -93,6 +93,11 @@ def _cmd_report(args) -> int:
     if manifest.exists():
         print("== manifest.txt")
         print(manifest.read_text(encoding="utf-8").rstrip())
+    error = out / "error.txt"
+    if error.exists():
+        print("== error.txt")
+        print(error.read_text(encoding="utf-8").rstrip())
+        shown += 1
     return 0 if shown else STATUS_CONFIG
 
 

@@ -142,13 +142,16 @@ def build_process_spec(d: dict, used: set) -> ProcessSpec:
     else:
         raise ConfigError(f"unknown delay_cluster.kind {dc_kind!r}")
 
+    arrival_cap = _take(d, used, "arrival_cap", int, default=10**8)
+    if arrival_cap < 1:
+        raise ConfigError(f"arrival_cap must be at least 1, got {arrival_cap}")
     return ProcessSpec(
         interarrival=interarrival,
         cluster=cluster,
         delay=delay,
         delay_cluster=delay_cluster,
         include_parents=_take(d, used, "include_parents", _bool, default=False),
-        arrival_cap=_take(d, used, "arrival_cap", int, default=10**8),
+        arrival_cap=arrival_cap,
     )
 
 

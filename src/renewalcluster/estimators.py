@@ -7,6 +7,10 @@ never on the order in which blocks run.  The scalar estimators (window
 mean, elementary ratio, void probability, key renewal sum) report an
 ``ExperimentReport``: a normal-approximation confidence interval next to
 the closed-form limit.
+
+The Bartlett-Lewis void-probability and recurrence-CDF targets integrate
+the step survival function with ``scipy.integrate.quad``, imported on
+first use; no other estimator or target needs scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NoPointAfterError, QuadratureError
 from .patterns import csv_text
@@ -268,6 +271,8 @@ def bartlett_lewis_void_probability(
     """
     if not x > 0:
         raise ValueError("x must be positive")
+    from scipy import integrate
+
     integral, err = integrate.quad(step_survival, 0.0, x, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
     if err > max(_QUAD_TOL, abs(integral) * 1e-6):
         raise QuadratureError(f"quadrature error {err} above tolerance")

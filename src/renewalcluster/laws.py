@@ -3,6 +3,11 @@
 Every interarrival variant here is continuous, hence nonarithmetic by
 construction, and has a finite strictly positive mean.  Laws are frozen
 dataclasses: immutable, hashable, safe to share.
+
+The module needs numpy alone.  ``GammaLaw.cdf`` is the regularized lower
+incomplete gamma function, ``scipy.special.gammainc``, imported on its
+first call so that importing the package does not load scipy; it gives
+``scipy.stats.gamma.cdf``'s values to the bit.
 """
 
 from __future__ import annotations
@@ -10,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import LawError
 
@@ -96,7 +100,9 @@ class GammaLaw:
         return self.shape * (self.shape + 1.0) * self.scale**2
 
     def cdf(self, x):
-        return stats.gamma.cdf(x, self.shape, scale=self.scale)
+        from scipy import special
+
+        return special.gammainc(self.shape, np.maximum(x, 0.0) / self.scale)
 
     def sup_bound(self):
         return None

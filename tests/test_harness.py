@@ -318,7 +318,8 @@ class TestCli:
         ("window.hi = 50", "window.hi = abc"),
         ("seed = 2", "seed = x"),
         ("window.lo = 0\nwindow.hi = 50", "window.lo = 5\nwindow.hi = 1"),
-    ], ids=["hi-not-a-number", "seed-not-an-int", "lo-above-hi"])
+        ("seed = 2", "seed = 2\narrival_cap = 0"),
+    ], ids=["hi-not-a-number", "seed-not-an-int", "lo-above-hi", "arrival_cap-0"])
     def test_simulate_bad_value_exit_two(self, tmp_path, change, capsys):
         text = (
             "interarrival.kind = uniform\ninterarrival.lo = 0\n"
@@ -349,10 +350,12 @@ class TestCli:
         .replace("x = 1\n", "g = 0:2:1;1:3:1\n"),
         GATED_CONFIG.replace("experiment = window_mean", "experiment = key_renewal")
         .replace("x = 1\n", "g = 0:1\n"),
+        GATED_CONFIG + "arrival_cap = 0\n",
+        GATED_CONFIG + "arrival_cap = -5\n",
     ], ids=["window_mean-x-negative", "window_mean-n_rep-0", "renewal_function-grid-unsorted",
             "coupling-n_rep-0", "elementary-n_rep-1", "renewal_function-n_rep-1",
             "stationarity_check-n_rep-1", "key_renewal-pieces-overlap",
-            "key_renewal-piece-two-fields"])
+            "key_renewal-piece-two-fields", "arrival_cap-0", "arrival_cap-negative"])
     def test_verify_bad_value_exit_two(self, tmp_path, text, capsys):
         assert text != GATED_CONFIG
         cfg = self._write(tmp_path, text)
@@ -435,6 +438,16 @@ class TestCli:
         assert main(["report", "--out", out]) == 0
         captured = capsys.readouterr().out
         assert "report.csv" in captured and "manifest.txt" in captured
+
+    def test_report_prints_runtime_error(self, tmp_path, capsys):
+        # a run that exits 3 leaves error.txt alone
+        cfg = self._write(tmp_path, GATED_CONFIG + "arrival_cap = 3\n")
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+        assert [p.name for p in out.iterdir()] == ["error.txt"]
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "== error.txt\n" + (out / "error.txt").read_text()
 
     def test_report_missing_directory(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "missing")]) == 2

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from renewalcluster import (
     Exponential,
@@ -64,6 +64,28 @@ def test_mixture_sampling_moments():
     xs = mix.sample(g, 200_000)
     se = xs.std() / np.sqrt(xs.size)
     assert abs(xs.mean() - mix.mean()) < 4 * se
+
+
+GAMMA_CDF_EDGES = np.array([-np.inf, -1.0, -1e-300, -0.0, 0.0, 5e-324, 1e-300, 1.0, 30.0,
+                            np.inf, np.nan])
+GAMMA_CDF_POINTS = RngStream(4).generator().uniform(-1.0, 30.0, 100_000)
+
+
+@pytest.mark.parametrize("shape", [0.3, 1.0, 2.5, 7.7])
+@pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+def test_gamma_cdf_matches_scipy_stats_bitwise(shape, scale):
+    # the incomplete-gamma form must give scipy.stats.gamma.cdf's bits,
+    # edges included: below the support, signed zero, inf and nan
+    law = GammaLaw(shape, scale)
+    x = np.concatenate([GAMMA_CDF_EDGES, GAMMA_CDF_POINTS])
+    for arg in (x, GAMMA_CDF_POINTS.reshape(250, 400)):
+        got, want = law.cdf(arg), stats.gamma.cdf(arg, shape, scale=scale)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for v in GAMMA_CDF_EDGES:
+        got, want = law.cdf(float(v)), stats.gamma.cdf(float(v), shape, scale=scale)
+        assert type(got) is type(want) is np.float64
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 def test_sup_bounds():
