@@ -17,10 +17,6 @@ class RunawayGenerationError(RenewalClusterError):
     """Arrival count exceeded the configured cap (mean interarrival ~ 0?)."""
 
 
-class NoPointAfterError(RenewalClusterError):
-    """No process point found after t even with the extended window."""
-
-
 class QuadratureError(RenewalClusterError):
     """Adaptive quadrature failed to converge to the requested tolerance."""
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoPointAfterError, QuadratureError
+from .errors import QuadratureError
 from .patterns import csv_text
 from .process import ProcessSpec, block_size, delayed_block, guard_band
 from .stats import empirical_cdf
@@ -226,34 +226,24 @@ def estimate_forward_recurrence_cdf(
 ) -> CdfReport:
     """Empirical CDF of the gap to the first point strictly after t.
 
-    The simulation window auto-extends (doubling, up to 6 times) for
-    replications where no point lands after t: attempt a redraws those
-    rows of the block from its substream a.
+    Each block reads one delayed block on (0, t + pad + guard] from its
+    substream 0, with pad = max(x_grid[-1], 1) + 10 E X.  A row with no
+    point in (t, t + pad] is censored at the pad: its gap counts as inf.
+    That is exact on the grid, because its true gap exceeds the pad and
+    so every grid value, and adds nothing to the CDF there.
     """
     x_grid = np.asarray(x_grid, dtype=np.float64)
     if x_grid.size == 0 or np.any(np.diff(x_grid) < 0) or np.any(x_grid < 0):
         raise ValueError("x_grid must be sorted and nonnegative")
-    mu = spec.interarrival.mean()
-    base_pad = float(max(x_grid[-1], 1.0) + 10.0 * mu)
-    guard = guard_band(spec)
+    pad = float(max(x_grid[-1], 1.0) + 10.0 * spec.interarrival.mean())
+    t_max = t + pad + guard_band(spec)
 
     def rows_of(stream, rows):
-        out = np.empty((rows, 1))
-        todo = np.arange(rows)
-        pad = base_pad
-        for attempt in range(7):
-            g = stream.substream(attempt).generator()
-            first = delayed_block(spec, todo.size, t + pad + guard, g).first_after(t, t + pad)
-            found = np.isfinite(first)
-            out[todo[found], 0] = first[found] - t
-            todo = todo[~found]
-            if not todo.size:
-                return out
-            pad *= 2.0
-        raise NoPointAfterError(f"no point after t={t} within pad {pad}")
+        blk = delayed_block(spec, rows, t_max, stream.substream(0).generator())
+        return blk.first_after(t, t + pad) - t
 
-    block = block_size(spec, t + base_pad + guard)
-    gaps = replicate(rows_of, n_rep, rng, block)[:, 0]
+    block = block_size(spec, t_max)
+    gaps = replicate(rows_of, n_rep, rng, block)
     values = empirical_cdf(gaps, x_grid)
     half = DEFAULT_Z * np.sqrt(np.maximum(values * (1.0 - values), 0.0) / n_rep)
     tgt = None if target is None else np.asarray(target, dtype=np.float64)

@@ -259,11 +259,7 @@ def sample_delayed_marked_renewal(
         raise ValueError("horizon and guard must be nonnegative")
     t_max = horizon + guard
     blk = delayed_block(spec, 1, t_max, rng.generator())
-    lo = -max(guard, 1e-12)
-    if blk.epochs.size and blk.epochs[0] <= lo:
-        lo = float(np.nextafter(blk.epochs[0], -np.inf))
-    return MarkedPattern(blk.epochs, blk.gaps, blk.sizes, blk.offsets,
-                         (lo, max(t_max, lo + 1e-12)))
+    return MarkedPattern(blk.epochs, blk.gaps, blk.sizes, blk.offsets, (-max(guard, 1e-12), t_max))
 
 
 def sample_renewal_cluster_process(

@@ -81,9 +81,15 @@ def run_experiment(
     out_dir: str | Path,
     raw_config: dict | None = None,
 ) -> int:
-    """Execute the configured experiment and write artifacts into out_dir."""
+    """Execute the configured experiment and write artifacts into out_dir.
+
+    Files an earlier run left there under the runner's own names
+    (manifest.txt, error.txt, every kind's artifacts) are removed first;
+    no other file is touched."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    for name in {"manifest.txt", "error.txt", *(a for k in KINDS.values() for a in k.artifacts)}:
+        (out / name).unlink(missing_ok=True)
     rng = stream_for(cfg.seed, cfg.kind)
     try:
         status, artifacts, block = KINDS[cfg.kind].run(cfg.spec, cfg.params, cfg.n_rep, rng)
@@ -96,16 +102,17 @@ def run_experiment(
     return status
 
 
-def _reported(estimator):
-    """Handler for a kind whose estimator takes (spec, *params in schema
-    order, n_rep, rng) and returns an ExperimentReport, judged at ACCEPT_SE."""
+def _reported(params, estimator):
+    """Kind writing report.csv from an estimator that takes (spec, *params
+    in schema order, n_rep, rng) and returns an ExperimentReport, judged at
+    ACCEPT_SE."""
     def run(spec, p, n_rep, rng):
         report = estimator(spec, *p.values(), n_rep, rng)
         ok = report.within(ACCEPT_SE)
         status = STATUS_OK if ok is None or ok else STATUS_FAIL
         text = ExperimentReport.CSV_HEADER + "\n" + report.to_csv_row() + "\n"
         return status, {"report.csv": text}, report.block
-    return run
+    return Kind(params, ("report.csv",), run)
 
 
 def _recurrence_cdf(spec, p, n_rep, rng):
@@ -199,32 +206,38 @@ def _pieces(s: str) -> StepFunction:
 
 class Kind(NamedTuple):
     """An experiment kind.  ``params`` maps each parameter to its parser
-    (required) or to (parser, default) (optional); ``run(spec, params, n_rep,
-    rng)`` returns (exit status, artifacts by file name, block size or None)."""
+    (required) or to (parser, default) (optional); ``artifacts`` names the
+    files it writes; ``run(spec, params, n_rep, rng)`` returns (exit status,
+    artifacts by file name, block size or None)."""
 
     params: dict
+    artifacts: tuple
     run: Callable
     needs_spec: bool = True
 
 
 KINDS = {
-    "window_mean": Kind({"t": _finite, "x": _finite}, _reported(estimate_window_mean)),
-    "elementary": Kind({"t": _finite}, _reported(estimate_elementary_ratio)),
+    "window_mean": _reported({"t": _finite, "x": _finite}, estimate_window_mean),
+    "elementary": _reported({"t": _finite}, estimate_elementary_ratio),
     "recurrence_cdf": Kind(
-        {"t": _finite, "grid": _floats, "tol": (_finite, 0.01)}, _recurrence_cdf
+        {"t": _finite, "grid": _floats, "tol": (_finite, 0.01)}, ("cdf.csv",), _recurrence_cdf
     ),
-    "void_prob": Kind({"t": _finite, "x": _finite}, _reported(estimate_void_probability)),
-    "renewal_function": Kind({"grid": _floats}, _renewal_function),
-    "key_renewal": Kind({"t": _finite, "g": _pieces}, _reported(estimate_key_renewal)),
+    "void_prob": _reported({"t": _finite, "x": _finite}, estimate_void_probability),
+    "renewal_function": Kind({"grid": _floats}, ("renewal.csv",), _renewal_function),
+    "key_renewal": _reported({"t": _finite, "g": _pieces}, estimate_key_renewal),
     "coupling": Kind(
         {"epsilon": _finite, "steps_cap": (int, 10**7), "k_checks": (int, 100),
          "min_finite": (_finite, 0.99)},
+        ("coupling.csv",),
         _coupling,
     ),
     "stationarity_check": Kind(
-        {"shifts": _shifts, "x": (_finite, 1.0), "alpha": (_finite, 0.01)}, _stationarity_check
+        {"shifts": _shifts, "x": (_finite, 1.0), "alpha": (_finite, 0.01)},
+        ("stationarity.csv",),
+        _stationarity_check,
     ),
     "flip_test": Kind(
-        {"n": int, "ones_needed": (int, 2), "alpha": (_finite, 0.01)}, _flip_test, needs_spec=False
+        {"n": int, "ones_needed": (int, 2), "alpha": (_finite, 0.01)}, ("flip.csv",), _flip_test,
+        needs_spec=False,
     ),
 }

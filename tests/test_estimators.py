@@ -7,6 +7,7 @@ from renewalcluster import (
     Exponential,
     FixedCount,
     FixedOffsetsCluster,
+    Mixture,
     PoissonCount,
     ProcessSpec,
     RngStream,
@@ -15,12 +16,14 @@ from renewalcluster import (
     bartlett_lewis_recurrence_cdf,
     bartlett_lewis_void_probability,
     estimate_elementary_ratio,
+    estimate_forward_recurrence_cdf,
     estimate_key_renewal,
     estimate_renewal_function,
     estimate_void_probability,
     estimate_window_mean,
     gated_cluster_preset,
     key_renewal_limit,
+    stream_for,
     theoretical_blackwell_limit,
 )
 from renewalcluster.estimators import _report, _window_rows
@@ -132,6 +135,26 @@ class TestVoidProbability:
         rep = estimate_void_probability(spec, 30.0, 1.0, 3000, RngStream(119))
         bound = 1.0 - theoretical_blackwell_limit(spec, 1.0)
         assert rep.estimate >= bound - 4 * rep.std_error
+
+
+class TestForwardRecurrenceCdf:
+    def test_heavy_tailed_gaps_within_dkw_band(self):
+        # One gap in 100 has mean 1000, so the gap covering t is mostly a
+        # long one and most rows have no point within the pad (151): they
+        # are censored there.  The target is the renewal process's
+        # stationary forward-recurrence law, (1/mu) sum w (1 - e^(-r x)) / r.
+        comps = ((0.99, 10.0), (0.01, 0.001))
+        law = Mixture(tuple((w, Exponential(r)) for w, r in comps))
+        spec = ProcessSpec(law, EmptyCluster(), include_parents=True)
+        grid = np.linspace(0.0, 50.0, 11)
+        mu = sum(w / r for w, r in comps)
+        target = sum(w * (1.0 - np.exp(-r * grid)) / r for w, r in comps) / mu
+        n_rep = 2000
+        rep = estimate_forward_recurrence_cdf(
+            spec, 20_000.0, grid, n_rep, stream_for(2026, "heavy-recurrence"), target=target
+        )
+        # DKW-Massart simultaneous band at alpha = 1e-3
+        assert rep.max_target_gap <= np.sqrt(np.log(2.0 / 1e-3) / (2 * n_rep))
 
 
 class TestRenewalFunction:

@@ -190,11 +190,29 @@ class TestConfigParsing:
         def run(spec, p, n_rep, rng):
             return 0, {"echo.csv": f"{p['k']!r},{n_rep}\n"}, None
 
-        monkeypatch.setitem(KINDS, "echo", Kind({"k": (int, 7)}, run, needs_spec=False))
+        kind = Kind({"k": (int, 7)}, ("echo.csv",), run, needs_spec=False)
+        monkeypatch.setitem(KINDS, "echo", kind)
         cfg = build_experiment_config({"experiment": "echo", "n_rep": "3"})
         assert cfg.spec is None and cfg.params == {"k": 7}
         assert run_experiment(cfg, tmp_path) == 0
         assert (tmp_path / "echo.csv").read_text() == "7,3\n"
+
+
+GATED_SPEC = ("interarrival.kind = uniform\ninterarrival.lo = 0\ninterarrival.hi = 5\n"
+              "cluster.kind = gated_normal\ndelay.kind = same\n")
+
+# small parameters for every kind
+KIND_PARAMS = {
+    "window_mean": "t = 20\nx = 1\n",
+    "elementary": "t = 20\n",
+    "recurrence_cdf": "t = 20\ngrid = 0,1\n",
+    "void_prob": "t = 20\nx = 1\n",
+    "renewal_function": "grid = 1,2\n",
+    "key_renewal": "t = 20\ng = 0:1:1\n",
+    "coupling": "epsilon = 0.2\nsteps_cap = 1000\nk_checks = 5\n",
+    "stationarity_check": "shifts = 0,10\n",
+    "flip_test": "n = 20\n",
+}
 
 
 class TestRunner:
@@ -211,6 +229,35 @@ class TestRunner:
         status = run_experiment(cfg, tmp_path)
         assert status == 3
         assert "RunawayGenerationError" in (tmp_path / "error.txt").read_text()
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_kind_writes_its_declared_artifacts(self, tmp_path, kind):
+        spec = GATED_SPEC if KINDS[kind].needs_spec else ""
+        raw = parse_kv(f"experiment = {kind}\nn_rep = 20\n" + spec + KIND_PARAMS[kind])
+        run_experiment(build_experiment_config(raw), tmp_path)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == sorted(("manifest.txt", *KINDS[kind].artifacts))
+
+    def test_passing_run_removes_earlier_error(self, tmp_path):
+        failing = parse_kv(GATED_CONFIG + "arrival_cap = 3\n")
+        assert run_experiment(build_experiment_config(failing), tmp_path) == 3
+        assert run_experiment(build_experiment_config(parse_kv(GATED_CONFIG)), tmp_path) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.txt", "report.csv"]
+
+    def test_failing_run_removes_earlier_artifacts(self, tmp_path):
+        assert run_experiment(build_experiment_config(parse_kv(GATED_CONFIG)), tmp_path) == 0
+        failing = parse_kv(GATED_CONFIG + "arrival_cap = 3\n")
+        assert run_experiment(build_experiment_config(failing), tmp_path) == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["error.txt"]
+
+    def test_rerun_removes_only_runner_files(self, tmp_path):
+        flip = parse_kv("experiment = flip_test\nn = 20\nn_rep = 20\n")
+        run_experiment(build_experiment_config(flip), tmp_path)
+        for name in ("pattern.csv", "notes.txt"):
+            (tmp_path / name).write_text("kept\n")
+        run_experiment(build_experiment_config(parse_kv(GATED_CONFIG)), tmp_path)
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["manifest.txt", "notes.txt", "pattern.csv", "report.csv"]
 
     def test_flip_test_run(self, tmp_path):
         cfg = build_experiment_config(
@@ -448,6 +495,18 @@ class TestCli:
         capsys.readouterr()
         assert main(["report", "--out", str(out)]) == 0
         assert capsys.readouterr().out == "== error.txt\n" + (out / "error.txt").read_text()
+
+    def test_recurrence_cdf_of_a_spec_without_points(self, tmp_path):
+        # no clusters and no parents: every row is censored at the pad, and
+        # the exact CDF on the grid is 0
+        text = ("experiment = recurrence_cdf\ninterarrival.kind = exponential\n"
+                "interarrival.rate = 1\ncluster.kind = empty\nt = 20\ngrid = 0,1,2\n"
+                "n_rep = 50\n")
+        out = tmp_path / "out"
+        assert main(["verify", "--config", self._write(tmp_path, text), "--out", str(out)]) == 0
+        header, *rows = (out / "cdf.csv").read_text().splitlines()
+        cols = dict(zip(header.split(","), zip(*(r.split(",") for r in rows))))
+        assert [float(v) for v in cols["cdf"] + cols["half_width"]] == [0.0] * 6
 
     def test_report_missing_directory(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "missing")]) == 2

@@ -176,6 +176,7 @@ class TestDelayedRenewal:
         spec = ProcessSpec(Exponential(1.0), EmptyCluster())
         m = sample_delayed_marked_renewal(spec, 0.0, 0.0, RngStream(45))
         # the window dips just below 0 so the zero-delay arrival is retained
+        assert m.window == (-1e-12, 0.0)
         assert len(m) == 1
         assert m.arrivals[0].epoch == 0.0
 
