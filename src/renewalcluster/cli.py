@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: ``simulate`` (draw one realization and write it as CSV),
-``verify`` (run a configured verification experiment), ``coupling``
-(convenience wrapper for coupling experiments), ``report`` (print a
-human-readable summary of a result directory).
+Subcommands: ``verify`` (run a configured experiment), ``simulate`` and
+``coupling`` (the same, with ``experiment`` forced to that kind; simulate
+draws one realization into ``pattern.csv``), ``report`` (print a
+human-readable summary of a result directory).  Every run goes through
+``runner.run_experiment``, which owns the result directory.
 
 Exit statuses follow the runner contract: 0 pass, 1 acceptance failure,
 2 configuration error, 3 runtime sampling error.  Results depend only on
@@ -16,11 +17,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import _take, build_experiment_config, build_process_spec, parse_kv
+from .config import build_experiment_config, parse_kv
 from .errors import ConfigError, RenewalClusterError
-from .process import sample_renewal_cluster_process
-from .runner import STATUS_CONFIG, STATUS_RUNTIME, _finite, run_experiment
-from .streams import stream_for
+from .runner import STATUS_CONFIG, STATUS_RUNTIME, run_experiment
 
 __all__ = ["main"]
 
@@ -33,45 +32,14 @@ def _load_config(path: str) -> dict:
     return parse_kv(text)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_run(args) -> int:
     raw = _load_config(args.config)
-    used = set()
-    spec = build_process_spec(raw, used)
-    seed = _take(raw, used, "seed", int, default=0)
-    lo = _take(raw, used, "window.lo", _finite, required=True)
-    hi = _take(raw, used, "window.hi", _finite, required=True)
-    if not lo < hi:
-        raise ConfigError(f"need window.lo < window.hi, got ({lo}, {hi}]")
-    unknown = set(raw) - used
-    if unknown:
-        raise ConfigError(f"unknown keys: {sorted(unknown)}")
-    if args.seed is not None:
-        seed = args.seed
-    pattern = sample_renewal_cluster_process(spec, lo, hi, stream_for(seed, "simulate"))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "pattern.csv").write_text(pattern.to_csv(), encoding="utf-8", newline="\n")
-    print(f"wrote {len(pattern)} points to {out / 'pattern.csv'} "
-          f"(overflow tally {pattern.overflow})")
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    return _cmd_verify_with(_load_config(args.config), args)
-
-
-def _cmd_coupling(args) -> int:
-    raw = _load_config(args.config)
-    if raw.get("experiment", "coupling") != "coupling":
-        raise ConfigError("coupling subcommand requires experiment = coupling")
-    raw["experiment"] = "coupling"
-    return _cmd_verify_with(raw, args)
-
-
-def _cmd_verify_with(raw, args) -> int:
+    if args.command != "verify":  # simulate and coupling force their kind
+        if raw.setdefault("experiment", args.command) != args.command:
+            raise ConfigError(f"{args.command} subcommand requires experiment = {args.command}")
     if args.seed is not None:
         raw["seed"] = str(args.seed)
-    if args.reps is not None:
+    if getattr(args, "reps", None) is not None:
         raw["n_rep"] = str(args.reps)
     cfg = build_experiment_config(raw)
     status = run_experiment(cfg, args.out, raw_config=raw)
@@ -125,14 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "simulate": _cmd_simulate,
-        "verify": _cmd_verify,
-        "coupling": _cmd_coupling,
-        "report": _cmd_report,
-    }
     try:
-        return handlers[args.command](args)
+        return (_cmd_report if args.command == "report" else _cmd_run)(args)
     except (ConfigError, ValueError) as exc:
         # a ValueError here is an argument an estimator or sampler rejected
         print(f"config error: {exc}", file=sys.stderr)

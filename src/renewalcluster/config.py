@@ -28,7 +28,7 @@ __all__ = ["ExperimentConfig", "parse_kv", "build_process_spec", "build_experime
 class ExperimentConfig:
     kind: str
     spec: ProcessSpec | None
-    n_rep: int
+    n_rep: int | None
     seed: int
     params: dict = field(default_factory=dict)
 
@@ -168,8 +168,8 @@ def build_experiment_config(d: dict) -> ExperimentConfig:
     if kind is None:
         raise ConfigError(f"unknown experiment kind {name!r}")
     spec = build_process_spec(d, used) if kind.needs_spec else None
-    n_rep = _take(d, used, "n_rep", int, default=1000)
-    if n_rep < 1:
+    n_rep = _take(d, used, "n_rep", int, default=1000) if kind.replicated else None
+    if n_rep is not None and n_rep < 1:
         raise ConfigError(f"n_rep must be at least 1, got {n_rep}")
     seed = _take(d, used, "seed", int, default=0)
     params = {}

@@ -232,6 +232,8 @@ def estimate_forward_recurrence_cdf(
     That is exact on the grid, because its true gap exceeds the pad and
     so every grid value, and adds nothing to the CDF there.
     """
+    if t < 0:
+        raise ValueError("need t >= 0")
     x_grid = np.asarray(x_grid, dtype=np.float64)
     if x_grid.size == 0 or np.any(np.diff(x_grid) < 0) or np.any(x_grid < 0):
         raise ValueError("x_grid must be sorted and nonnegative")
@@ -399,6 +401,8 @@ def estimate_key_renewal(
     of [0, x) this is ``estimate_window_mean(spec, t - x, x, ...)``, draw
     for draw.
     """
+    if t < 0:
+        raise ValueError("need t >= 0")
     lo = t - max(b for _, b, _ in g.pieces)
     hi = t - min(a for a, _, _ in g.pieces)
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clusters import ClusterModel, EmptyCluster
-from .errors import RunawayGenerationError
+from .errors import LawError, RunawayGenerationError
 from .laws import Exponential, Uniform
 from .patterns import MarkedPattern, PointPattern, window_pattern
 from .streams import RngStream
@@ -57,8 +57,9 @@ class ProcessSpec:
 
     ``delay`` is the law of the first gap (None means zero delay) and
     ``delay_cluster`` the cluster model of the first arrival (None means
-    empty).  Subsequent gaps are i.i.d. from ``interarrival`` and each
-    arrival's cluster is drawn conditionally on its own gap.
+    empty).  Subsequent gaps are i.i.d. from ``interarrival``, whose mean
+    must be finite and positive (else no stationary version exists), and
+    each arrival's cluster is drawn conditionally on its own gap.
     """
 
     interarrival: object
@@ -67,6 +68,11 @@ class ProcessSpec:
     delay_cluster: ClusterModel | None = None
     include_parents: bool = False
     arrival_cap: int = 10**8
+
+    def __post_init__(self):
+        mu = self.interarrival.mean()
+        if not 0.0 < mu < np.inf:
+            raise LawError(f"the interarrival law needs a finite positive mean, got {mu}")
 
     def mean_cluster_size(self):
         return self.cluster.mean_size(self.interarrival)
@@ -168,11 +174,14 @@ def _gaps_until(spec: ProcessSpec, need, g: np.random.Generator, drawn: int = 0)
     sum exceeds its entry of ``need``.
 
     ``drawn`` arrivals per row are already drawn; drawing more than the
-    spec's arrival_cap per row raises RunawayGenerationError.
+    spec's arrival_cap per row raises RunawayGenerationError.  A law with an
+    infinite variance sizes its chunks as if its cv^2 were 1.
     """
     law = spec.interarrival
     mu = law.mean()
     cv2 = max(law.second_moment() / mu**2 - 1.0, 0.0)
+    if not np.isfinite(cv2):
+        cv2 = 1.0
     short = np.asarray(need, dtype=np.float64)
     chunks = [np.empty((short.size, 0))]
     while short.max() >= 0:

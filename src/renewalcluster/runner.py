@@ -1,9 +1,10 @@
-"""Experiment runner: executes a configured experiment, writes its report
-CSV plus a reproducibility manifest, and returns the exit status.
+"""Experiment runner: executes a configured experiment, writes its
+artifacts plus a reproducibility manifest, and returns the exit status.
 
-``KINDS`` is the one table of experiment kinds: for each, its parameter
-schema, whether it simulates a process spec, and its handler.
-``config.build_experiment_config`` validates against it and
+``KINDS`` is the one table of experiment kinds, ``simulate`` (one
+realization, ``pattern.csv``) among them: for each, its parameter schema,
+whether it simulates a process spec, whether it takes ``n_rep``, and its
+handler.  ``config.build_experiment_config`` validates against it and
 ``run_experiment`` dispatches from it, so a new kind is one entry here.
 The scalar kinds (window mean, elementary ratio, void probability, key
 renewal sum) write one ``report.csv`` format, ``ExperimentReport.CSV_HEADER``,
@@ -46,6 +47,7 @@ from .estimators import (
     replicate,
 )
 from .patterns import csv_text
+from .process import sample_renewal_cluster_process
 from .stationary import stationary_rows
 from .stats import two_sample_ks
 from .streams import stream_for
@@ -68,9 +70,9 @@ def _write(path: Path, text: str):
     path.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _manifest(cfg: ExperimentConfig, raw: dict | None, block: int | None) -> str:
+def _manifest(cfg: ExperimentConfig, raw: dict | None, computed: dict) -> str:
     head = {"version": __version__, "experiment": cfg.kind, "seed": cfg.seed,
-            "n_rep": cfg.n_rep, "block": block}
+            "n_rep": cfg.n_rep, **computed}
     lines = [f"{k} = {v}" for k, v in head.items() if v is not None]
     lines += [f"{k} = {raw[k]}" for k in sorted(raw or {})]
     return "\n".join(lines) + "\n"
@@ -92,13 +94,13 @@ def run_experiment(
         (out / name).unlink(missing_ok=True)
     rng = stream_for(cfg.seed, cfg.kind)
     try:
-        status, artifacts, block = KINDS[cfg.kind].run(cfg.spec, cfg.params, cfg.n_rep, rng)
+        status, artifacts, computed = KINDS[cfg.kind].run(cfg.spec, cfg.params, cfg.n_rep, rng)
     except RenewalClusterError as exc:
         _write(out / "error.txt", f"{type(exc).__name__}: {exc}\n")
         return STATUS_RUNTIME
     for name, text in artifacts.items():
         _write(out / name, text)
-    _write(out / "manifest.txt", _manifest(cfg, raw_config, block))
+    _write(out / "manifest.txt", _manifest(cfg, raw_config, computed))
     return status
 
 
@@ -111,7 +113,7 @@ def _reported(params, estimator):
         ok = report.within(ACCEPT_SE)
         status = STATUS_OK if ok is None or ok else STATUS_FAIL
         text = ExperimentReport.CSV_HEADER + "\n" + report.to_csv_row() + "\n"
-        return status, {"report.csv": text}, report.block
+        return status, {"report.csv": text}, {"block": report.block}
     return Kind(params, ("report.csv",), run)
 
 
@@ -122,12 +124,12 @@ def _recurrence_cdf(spec, p, n_rep, rng):
     rep = estimate_forward_recurrence_cdf(spec, p["t"], grid, n_rep, rng, target=target)
     gap = rep.max_target_gap
     status = STATUS_OK if gap is None or gap < p["tol"] else STATUS_FAIL
-    return status, {"cdf.csv": rep.to_csv()}, rep.block
+    return status, {"cdf.csv": rep.to_csv()}, {"block": rep.block}
 
 
 def _renewal_function(spec, p, n_rep, rng):
     tab = estimate_renewal_function(spec, np.array(p["grid"]), n_rep, rng)
-    return STATUS_OK, {"renewal.csv": tab.to_csv()}, tab.block
+    return STATUS_OK, {"renewal.csv": tab.to_csv()}, {"block": tab.block}
 
 
 def _coupling(spec, p, n_rep, rng):
@@ -144,7 +146,7 @@ def _coupling(spec, p, n_rep, rng):
     finite = sum(1 for r in runs if not r.capped) / len(runs)
     agreed = agreement is None or agreement.passed
     ok = finite >= p["min_finite"] and agreed
-    return (STATUS_OK if ok else STATUS_FAIL), {"coupling.csv": coupling_runs_to_csv(runs)}, None
+    return (STATUS_OK if ok else STATUS_FAIL), {"coupling.csv": coupling_runs_to_csv(runs)}, {}
 
 
 def _stationarity_check(spec, p, n_rep, rng):
@@ -160,7 +162,7 @@ def _stationarity_check(spec, p, n_rep, rng):
             for shift, ks in zip(shifts[1:], tests)]
     text = csv_text("shift_a,shift_b,distance,critical_value,reject", *zip(*rows))
     any_reject = any(ks.reject for ks in tests)
-    return (STATUS_FAIL if any_reject else STATUS_OK), {"stationarity.csv": text}, block
+    return (STATUS_FAIL if any_reject else STATUS_OK), {"stationarity.csv": text}, {"block": block}
 
 
 def _flip_test(spec, p, n_rep, rng):
@@ -174,7 +176,13 @@ def _flip_test(spec, p, n_rep, rng):
     rows = [(rule, ks.distance, ks.critical_value, ks.reject)
             for rule, ks in (("stopping", stop), ("peek_ahead", peek))]
     text = csv_text("rule,distance,critical_value,reject", *zip(*rows))
-    return (STATUS_OK if ok else STATUS_FAIL), {"flip.csv": text}, None
+    return (STATUS_OK if ok else STATUS_FAIL), {"flip.csv": text}, {}
+
+
+def _simulate(spec, p, n_rep, rng):
+    pattern = sample_renewal_cluster_process(spec, p["window.lo"], p["window.hi"], rng)
+    return STATUS_OK, {"pattern.csv": pattern.to_csv()}, {
+        "points": len(pattern), "overflow": pattern.overflow}
 
 
 def _finite(s: str) -> float:
@@ -208,15 +216,22 @@ class Kind(NamedTuple):
     """An experiment kind.  ``params`` maps each parameter to its parser
     (required) or to (parser, default) (optional); ``artifacts`` names the
     files it writes; ``run(spec, params, n_rep, rng)`` returns (exit status,
-    artifacts by file name, block size or None)."""
+    artifacts by file name, the manifest entries it computed, such as the
+    block size).  A kind that is not ``replicated`` takes no ``n_rep`` key
+    and is run with n_rep None."""
 
     params: dict
     artifacts: tuple
     run: Callable
     needs_spec: bool = True
+    replicated: bool = True
 
 
 KINDS = {
+    "simulate": Kind(
+        {"window.lo": _finite, "window.hi": _finite}, ("pattern.csv",), _simulate,
+        replicated=False,
+    ),
     "window_mean": _reported({"t": _finite, "x": _finite}, estimate_window_mean),
     "elementary": _reported({"t": _finite}, estimate_elementary_ratio),
     "recurrence_cdf": Kind(

@@ -9,6 +9,7 @@ from renewalcluster import (
     RngStream,
     Uniform,
     empirical_cdf,
+    sample_renewal_cluster_process,
     stream_for,
     theoretical_blackwell_limit,
     two_sample_ks,
@@ -188,7 +189,7 @@ class TestConfigParsing:
 
     def test_new_kind_is_one_table_entry(self, tmp_path, monkeypatch):
         def run(spec, p, n_rep, rng):
-            return 0, {"echo.csv": f"{p['k']!r},{n_rep}\n"}, None
+            return 0, {"echo.csv": f"{p['k']!r},{n_rep}\n"}, {}
 
         kind = Kind({"k": (int, 7)}, ("echo.csv",), run, needs_spec=False)
         monkeypatch.setitem(KINDS, "echo", kind)
@@ -203,6 +204,7 @@ GATED_SPEC = ("interarrival.kind = uniform\ninterarrival.lo = 0\ninterarrival.hi
 
 # small parameters for every kind
 KIND_PARAMS = {
+    "simulate": "window.lo = 0\nwindow.hi = 50\n",
     "window_mean": "t = 20\nx = 1\n",
     "elementary": "t = 20\n",
     "recurrence_cdf": "t = 20\ngrid = 0,1\n",
@@ -233,7 +235,8 @@ class TestRunner:
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_kind_writes_its_declared_artifacts(self, tmp_path, kind):
         spec = GATED_SPEC if KINDS[kind].needs_spec else ""
-        raw = parse_kv(f"experiment = {kind}\nn_rep = 20\n" + spec + KIND_PARAMS[kind])
+        n_rep = "n_rep = 20\n" if KINDS[kind].replicated else ""
+        raw = parse_kv(f"experiment = {kind}\n" + n_rep + spec + KIND_PARAMS[kind])
         run_experiment(build_experiment_config(raw), tmp_path)
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == sorted(("manifest.txt", *KINDS[kind].artifacts))
@@ -253,11 +256,11 @@ class TestRunner:
     def test_rerun_removes_only_runner_files(self, tmp_path):
         flip = parse_kv("experiment = flip_test\nn = 20\nn_rep = 20\n")
         run_experiment(build_experiment_config(flip), tmp_path)
-        for name in ("pattern.csv", "notes.txt"):
+        for name in ("plot.png", "notes.txt"):
             (tmp_path / name).write_text("kept\n")
         run_experiment(build_experiment_config(parse_kv(GATED_CONFIG)), tmp_path)
         names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == ["manifest.txt", "notes.txt", "pattern.csv", "report.csv"]
+        assert names == ["manifest.txt", "notes.txt", "plot.png", "report.csv"]
 
     def test_flip_test_run(self, tmp_path):
         cfg = build_experiment_config(
@@ -378,6 +381,62 @@ class TestCli:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "sim")]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    SIMULATE_CONFIG = GATED_SPEC + "window.lo = 0\nwindow.hi = 50\nseed = 2\n"
+
+    def _simulate(self, tmp_path, text, out):
+        return main(["simulate", "--config", self._write(tmp_path, text, "sim.txt"),
+                     "--out", str(out)])
+
+    def test_simulate_failure_removes_earlier_pattern(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert self._simulate(tmp_path, self.SIMULATE_CONFIG, out) == 0
+        assert self._simulate(tmp_path, self.SIMULATE_CONFIG + "arrival_cap = 3\n", out) == 3
+        assert [p.name for p in out.iterdir()] == ["error.txt"]
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        shown = capsys.readouterr().out
+        assert "RunawayGenerationError" in shown and "pattern.csv" not in shown
+
+    def test_simulate_after_verify_removes_its_results(self, tmp_path):
+        out = tmp_path / "o"
+        cfg = self._write(tmp_path, GATED_CONFIG)
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        assert self._simulate(tmp_path, self.SIMULATE_CONFIG, out) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.txt", "pattern.csv"]
+        assert "experiment = simulate" in (out / "manifest.txt").read_text().splitlines()
+
+    def test_simulate_after_failed_verify_removes_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfg = self._write(tmp_path, GATED_CONFIG + "arrival_cap = 3\n")
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 3
+        assert self._simulate(tmp_path, self.SIMULATE_CONFIG, out) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.txt", "pattern.csv"]
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        assert "error" not in capsys.readouterr().out
+
+    def test_simulate_manifest_records_points_and_overflow(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert self._simulate(tmp_path, self.SIMULATE_CONFIG, out) == 0
+        pattern = sample_renewal_cluster_process(
+            build_process_spec(parse_kv(GATED_SPEC), set()), 0.0, 50.0,
+            stream_for(2, "simulate"))
+        assert (out / "pattern.csv").read_text() == pattern.to_csv()
+        head = (out / "manifest.txt").read_text().splitlines()[:5]
+        assert head[1:] == ["experiment = simulate", "seed = 2", f"points = {len(pattern)}",
+                            f"overflow = {pattern.overflow}"]
+        capsys.readouterr()
+        assert main(["report", "--out", str(out)]) == 0
+        assert f"overflow = {pattern.overflow}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("extra", ["n_rep = 5\n", "experiment = window_mean\n"],
+                             ids=["n_rep", "other-kind"])
+    def test_simulate_rejects_key(self, tmp_path, extra, capsys):
+        out = tmp_path / "o"
+        assert self._simulate(tmp_path, self.SIMULATE_CONFIG + extra, out) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (out / "pattern.csv").exists()
+
     @pytest.mark.parametrize("text", [
         GATED_CONFIG.replace("x = 1", "x = -1"),
         GATED_CONFIG.replace("n_rep = 200", "n_rep = 0"),
@@ -399,10 +458,15 @@ class TestCli:
         .replace("x = 1\n", "g = 0:1\n"),
         GATED_CONFIG + "arrival_cap = 0\n",
         GATED_CONFIG + "arrival_cap = -5\n",
+        GATED_CONFIG.replace("experiment = window_mean", "experiment = recurrence_cdf")
+        .replace("t = 20\nx = 1\n", "t = -5\ngrid = 0,1\n"),
+        GATED_CONFIG.replace("experiment = window_mean", "experiment = key_renewal")
+        .replace("t = 20\nx = 1\n", "t = -5\ng = 0:1:1\n"),
     ], ids=["window_mean-x-negative", "window_mean-n_rep-0", "renewal_function-grid-unsorted",
             "coupling-n_rep-0", "elementary-n_rep-1", "renewal_function-n_rep-1",
             "stationarity_check-n_rep-1", "key_renewal-pieces-overlap",
-            "key_renewal-piece-two-fields", "arrival_cap-0", "arrival_cap-negative"])
+            "key_renewal-piece-two-fields", "arrival_cap-0", "arrival_cap-negative",
+            "recurrence_cdf-t-negative", "key_renewal-t-negative"])
     def test_verify_bad_value_exit_two(self, tmp_path, text, capsys):
         assert text != GATED_CONFIG
         cfg = self._write(tmp_path, text)

@@ -9,6 +9,11 @@ its origin index, and every artifact plus the manifest of each experiment
 kind must hash exactly as recorded there.  A refactor that changes one
 byte of any of them fails here; a change that is meant to alter seeded
 output must record new pins and say why.
+
+Every ``pattern.csv`` pin was recorded from commit 4ba2e37, where the
+``simulate`` subcommand wrote that file itself; the runner must write the
+same bytes.  ``simulate/manifest.txt`` was first recorded when the kind
+joined the runner's table.
 """
 
 import hashlib
@@ -26,6 +31,7 @@ from renewalcluster import (
     sample_delayed_marked_renewal,
     sample_stationary_marked_renewal,
 )
+from renewalcluster.cli import main
 from renewalcluster.config import build_experiment_config, parse_kv
 from renewalcluster.estimators import ExperimentReport
 from renewalcluster.runner import run_experiment
@@ -47,6 +53,7 @@ KIND_CONFIGS = {
     "coupling": GATED + "epsilon = 0.2\nsteps_cap = 100000\nk_checks = 20\nn_rep = 10\n",
     "stationarity_check": GATED + "shifts = 0,10\nx = 1\nn_rep = 100\n",
     "flip_test": "n = 20\nn_rep = 500\n",
+    "simulate": GATED + "window.lo = 0\nwindow.hi = 50\n",
 }
 
 PRESETS = {
@@ -87,9 +94,22 @@ PINS = {
     "void_prob/status": "0",
     "void_prob/manifest.txt": "e7d1ca86fb85515a063fc0984edb918c2766cd832e2229eb4cbb94be1edcd47c",
     "void_prob/report.csv": "32123e693c39daff76a2d6bb991e825f9f337d9350a8f25203d8627aa609528f",
+    "simulate/status": "0",
+    "simulate/manifest.txt": "74e0f7db510d343fb636ec44cf53e9eaae8ec56f3b8fa0d2b729db1a59e31292",
+    "simulate/pattern.csv": "54384efea51e3ac1963c3479085ebecad22d1063b273377240eaba7bbb6473e4",
     "window_mean/status": "0",
     "window_mean/manifest.txt": "4d334e303b6206fdf21a16109cc1da21be5b69128c5a60feddaf3476cf3488d0",
     "window_mean/report.csv": "7f3de4540e70d267b0c31bf2c036cdafb5747de92b954329c23ae9589347a071",
+}
+
+
+# `rcluster simulate` on the config of test_harness's simulate tests, and
+# on a Bartlett-Lewis config with a window off the origin
+SIMULATE_CONFIGS = {
+    "gated": (GATED + "window.lo = 0\nwindow.hi = 50\nseed = 2\n",
+              "6c4c30f050fe0d3c783d235f660852f2b8b16afa050cff4d125e8044fcf154de"),
+    "bartlett_lewis": (BARTLETT_LEWIS + "window.lo = 10\nwindow.hi = 60\nseed = 1\n",
+                       "e6fdc8e6ae1496538f0008468cfd44a4a3ac89c15643650dca89eeb9829a4bf2"),
 }
 
 
@@ -152,3 +172,12 @@ def test_report_csv_has_one_format(kind, tmp_path):
         header, row = path.read_text(encoding="utf-8").splitlines()
         assert header == ExperimentReport.CSV_HEADER
         assert ExperimentReport.from_csv_row(row).to_csv_row() == row
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_CONFIGS))
+def test_simulate_subcommand_pattern_matches_pin(name, tmp_path):
+    text, pin = SIMULATE_CONFIGS[name]
+    (tmp_path / "sim.txt").write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(tmp_path / "sim.txt"), "--out", str(out)]) == 0
+    assert sha((out / "pattern.csv").read_text(encoding="utf-8")) == pin
