@@ -181,8 +181,8 @@ def _flip_test(spec, p, n_rep, rng):
 
 def _simulate(spec, p, n_rep, rng):
     pattern = sample_renewal_cluster_process(spec, p["window.lo"], p["window.hi"], rng)
-    return STATUS_OK, {"pattern.csv": pattern.to_csv()}, {
-        "points": len(pattern), "overflow": pattern.overflow}
+    head = {"points": len(pattern), "overflow": pattern.overflow}
+    return STATUS_OK, {"pattern.csv": pattern.to_csv()}, head
 
 
 def _finite(s: str) -> float:
