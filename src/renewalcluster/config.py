@@ -2,14 +2,21 @@
 
 The format is UTF-8 text, one ``key = value`` pair per line, ``#`` starts
 a comment.  Every key must be recognized and consumed; an unknown key is a
-hard parse error rather than a silent ignore.  The experiment kinds and
-their parameters come from ``runner.KINDS``.  See README for the full key
+hard parse error rather than a silent ignore.  See README for the full key
 schema.
+
+Every key is read through one schema format, that of ``runner.Kind.params``:
+a name maps to its parser (required) or to (parser, default) (optional).  A
+table of model kinds (``LAWS``, ``COUNT_LAWS``, ``CLUSTERS``) may stand in
+for a parser: the model is then the kind that ``<key>.kind`` names, built
+from its own fields under ``<key>.``.  ``_read`` is the one loop over a
+schema, for the experiment kind's parameters (``runner.KINDS``), every
+model's fields and the process keys (``SPEC``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .clusters import (
     CumulativeStepCluster,
@@ -53,18 +60,6 @@ def parse_kv(text: str) -> dict:
     return out
 
 
-def _take(d, used, key, parser, default=None, required=False):
-    if key in d:
-        used.add(key)
-        try:
-            return parser(d[key])
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad value for {key!r}: {d[key]!r} ({exc})") from exc
-    if required:
-        raise ConfigError(f"missing required key {key!r}")
-    return default
-
-
 def _bool(s: str) -> bool:
     if s.lower() in ("true", "yes", "1"):
         return True
@@ -73,86 +68,87 @@ def _bool(s: str) -> bool:
     raise ValueError(s)
 
 
-def _law(d, used, prefix):
-    kind = _take(d, used, f"{prefix}.kind", str, required=True)
+def _at_least_one(key):
+    def parse(s: str) -> int:
+        n = int(s)
+        if n < 1:
+            raise ConfigError(f"{key} must be at least 1, got {n}")
+        return n
+    return parse
+
+
+# tables of model kinds: each kind maps to its class and its field schema
+LAWS = {
+    "exponential": (Exponential, {"rate": _finite}),
+    "uniform": (Uniform, {"lo": _finite, "hi": _finite}),
+    "gamma": (GammaLaw, {"shape": _finite, "scale": _finite}),
+}
+COUNT_LAWS = {
+    "poisson": (PoissonCount, {"rate": _finite}),
+    "fixed": (FixedCount, {"value": int}),
+}
+CLUSTERS = {
+    "empty": (EmptyCluster, {}),
+    "cumulative_steps": (CumulativeStepCluster, {"size": COUNT_LAWS, "step": LAWS}),
+    "gated_normal": (GatedNormalCluster,
+                     {f.name: (_finite, f.default) for f in fields(GatedNormalCluster)}),
+}
+
+# the process keys; a special name of ``delay`` or ``delay_cluster`` stands
+# for no model (None) or for the model read under the key it names, and
+# the default of a table is the kind an absent ``<key>.kind`` names
+SPEC = {
+    "interarrival": LAWS,
+    "cluster": CLUSTERS,
+    "delay": ({"zero": None, "same": "interarrival", **LAWS}, "zero"),
+    "delay_cluster": ({"empty": None, "same": "cluster"}, "empty"),
+    "arrival_cap": (_at_least_one("arrival_cap"), 10**8),
+    "include_parents": (_bool, False),
+}
+
+
+def _read(d: dict, used: set, schema: dict, prefix: str = "") -> dict:
+    """Read each key of ``schema`` in order from ``d`` into {name: value},
+    adding the keys read to ``used``; a table of model kinds in place of a
+    parser reads the model its ``.kind`` key names."""
+    got = {}
+    for name, entry in schema.items():
+        optional = isinstance(entry, tuple)
+        parser, default = entry if optional else (entry, None)
+        key = prefix + name
+        if isinstance(parser, dict):
+            got[name] = _model(d, used, key, parser, default, got)
+        elif key in d:
+            used.add(key)
+            try:
+                got[name] = parser(d[key])
+            except (ValueError, TypeError) as exc:
+                raise ConfigError(f"bad value for {key!r}: {d[key]!r} ({exc})") from exc
+        elif optional:
+            got[name] = default
+        else:
+            raise ConfigError(f"missing required key {key!r}")
+    return got
+
+
+def _model(d, used, key, table, default, got):
+    """The model of the kind ``<key>.kind`` names in ``table``."""
+    kind = _read(d, used, {".kind": (str, default) if default else str}, key)[".kind"]
+    if kind not in table:
+        raise ConfigError(f"unknown {key}.kind {kind!r}")
+    entry = table[kind]
+    if not isinstance(entry, tuple):  # a special name
+        return None if entry is None else got[entry]
+    cls, schema = entry
+    values = _read(d, used, schema, key + ".")
     try:
-        if kind == "exponential":
-            return Exponential(_take(d, used, f"{prefix}.rate", _finite, required=True))
-        if kind == "uniform":
-            return Uniform(
-                _take(d, used, f"{prefix}.lo", _finite, required=True),
-                _take(d, used, f"{prefix}.hi", _finite, required=True),
-            )
-        if kind == "gamma":
-            return GammaLaw(
-                _take(d, used, f"{prefix}.shape", _finite, required=True),
-                _take(d, used, f"{prefix}.scale", _finite, required=True),
-            )
+        return cls(**values)
     except LawError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown {prefix}.kind {kind!r}")
-
-
-def _count_law(d, used, prefix):
-    kind = _take(d, used, f"{prefix}.kind", str, required=True)
-    try:
-        if kind == "poisson":
-            return PoissonCount(_take(d, used, f"{prefix}.rate", _finite, required=True))
-        if kind == "fixed":
-            return FixedCount(_take(d, used, f"{prefix}.value", int, required=True))
-    except LawError as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown {prefix}.kind {kind!r}")
-
-
-def _cluster(d, used, prefix):
-    kind = _take(d, used, f"{prefix}.kind", str, required=True)
-    if kind == "empty":
-        return EmptyCluster()
-    if kind == "cumulative_steps":
-        size = _count_law(d, used, f"{prefix}.size")
-        step = _law(d, used, f"{prefix}.step")
-        return CumulativeStepCluster(size, step)
-    if kind == "gated_normal":
-        return GatedNormalCluster(
-            threshold=_take(d, used, f"{prefix}.threshold", _finite, default=1.0),
-            rate_above=_take(d, used, f"{prefix}.rate_above", _finite, default=0.5),
-            rate_below=_take(d, used, f"{prefix}.rate_below", _finite, default=5.0),
-        )
-    raise ConfigError(f"unknown {prefix}.kind {kind!r}")
 
 
 def build_process_spec(d: dict, used: set) -> ProcessSpec:
-    interarrival = _law(d, used, "interarrival")
-    cluster = _cluster(d, used, "cluster")
-
-    delay_kind = _take(d, used, "delay.kind", str, default="zero")
-    if delay_kind == "zero":
-        delay = None
-    elif delay_kind == "same":
-        delay = interarrival
-    else:
-        delay = _law(d, used, "delay")
-
-    dc_kind = _take(d, used, "delay_cluster.kind", str, default="empty")
-    if dc_kind == "empty":
-        delay_cluster = None
-    elif dc_kind == "same":
-        delay_cluster = cluster
-    else:
-        raise ConfigError(f"unknown delay_cluster.kind {dc_kind!r}")
-
-    arrival_cap = _take(d, used, "arrival_cap", int, default=10**8)
-    if arrival_cap < 1:
-        raise ConfigError(f"arrival_cap must be at least 1, got {arrival_cap}")
-    return ProcessSpec(
-        interarrival=interarrival,
-        cluster=cluster,
-        delay=delay,
-        delay_cluster=delay_cluster,
-        include_parents=_take(d, used, "include_parents", _bool, default=False),
-        arrival_cap=arrival_cap,
-    )
+    return ProcessSpec(**_read(d, used, SPEC))
 
 
 def build_experiment_config(d: dict) -> ExperimentConfig:
@@ -163,21 +159,16 @@ def build_experiment_config(d: dict) -> ExperimentConfig:
     any sampling starts.
     """
     used = set()
-    name = _take(d, used, "experiment", str, required=True)
+    name = _read(d, used, {"experiment": str})["experiment"]
     kind = KINDS.get(name)
     if kind is None:
         raise ConfigError(f"unknown experiment kind {name!r}")
     spec = build_process_spec(d, used) if kind.needs_spec else None
-    n_rep = _take(d, used, "n_rep", int, default=1000) if kind.replicated else None
-    if n_rep is not None and n_rep < 1:
-        raise ConfigError(f"n_rep must be at least 1, got {n_rep}")
-    seed = _take(d, used, "seed", int, default=0)
-    params = {}
-    for key, schema in kind.params.items():
-        optional = isinstance(schema, tuple)
-        parser, default = schema if optional else (schema, None)
-        params[key] = _take(d, used, key, parser, default, required=not optional)
+    n_rep = {"n_rep": (_at_least_one("n_rep"), 1000)} if kind.replicated else {}
+    head = _read(d, used, {**n_rep, "seed": (int, 0)})
+    params = _read(d, used, kind.params)
     unknown = set(d) - used
     if unknown:
         raise ConfigError(f"unknown keys: {sorted(unknown)}")
-    return ExperimentConfig(kind=name, spec=spec, n_rep=n_rep, seed=seed, params=params)
+    return ExperimentConfig(kind=name, spec=spec, n_rep=head.get("n_rep"), seed=head["seed"],
+                            params=params)

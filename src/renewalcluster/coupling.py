@@ -398,7 +398,13 @@ def random_walk_path(
     rng: RngStream,
     start_override: tuple | None = None,
 ) -> np.ndarray:
-    """Dense walk path V_0..V_n for diagnostics (no stopping)."""
+    """Dense walk path V_0..V_n for diagnostics (no stopping).
+
+    It draws n gaps, then n sign words, in one block.  For n <= 2^14 that
+    is the layout of the walk ``run_coupling`` takes at ``steps_cap = n``,
+    whose V_i it gives exactly; a larger n, or a larger cap, splits the
+    walk into blocks of 2^14 and its path differs from step 1 on.
+    """
     g = rng.generator()
     t0, t_delayed = _draw_starts(spec, g, start_override)
     steps = _signed_gaps(spec.interarrival, g, n_steps)

@@ -58,7 +58,6 @@ class ExperimentReport:
     n_rep: int
     target: float | None
     seed: int
-    stream_id: int
     truncation_tally: int = 0
     block: int | None = field(default=None, compare=False)
 
@@ -80,7 +79,7 @@ class ExperimentReport:
         return csv_text(self.CSV_HEADER, *([f] for f in fields)).split("\n")[1]
 
     @classmethod
-    def from_csv_row(cls, row: str, stream_id: int = 0) -> "ExperimentReport":
+    def from_csv_row(cls, row: str) -> "ExperimentReport":
         est, se, lo, hi, n, target, seed, tally = row.split(",")
         return cls(
             float(est),
@@ -90,7 +89,6 @@ class ExperimentReport:
             int(n),
             float(target) if target else None,
             int(seed),
-            stream_id,
             int(tally),
         )
 
@@ -107,7 +105,6 @@ def _report(values, tallies, target, rng, block):
         n_rep=int(values.size),
         target=target,
         seed=rng.seed,
-        stream_id=rng.stream_id,
         truncation_tally=int(np.sum(tallies)),
         block=block,
     )
@@ -200,7 +197,6 @@ class CdfReport:
     n_rep: int
     target: np.ndarray | None
     seed: int
-    stream_id: int
     block: int | None = field(default=None, compare=False)
 
     @property
@@ -249,7 +245,7 @@ def estimate_forward_recurrence_cdf(
     values = empirical_cdf(gaps, x_grid)
     half = DEFAULT_Z * np.sqrt(np.maximum(values * (1.0 - values), 0.0) / n_rep)
     tgt = None if target is None else np.asarray(target, dtype=np.float64)
-    return CdfReport(x_grid, values, half, n_rep, tgt, rng.seed, rng.stream_id, block)
+    return CdfReport(x_grid, values, half, n_rep, tgt, rng.seed, block)
 
 
 def bartlett_lewis_void_probability(
@@ -331,7 +327,6 @@ class RenewalFunctionTable:
     std_errors: np.ndarray
     n_rep: int
     seed: int
-    stream_id: int
     block: int | None = field(default=None, compare=False)
 
     CSV_HEADER = "t,raw,std_error"
@@ -356,7 +351,7 @@ def estimate_renewal_function(
     counts = replicate(fn, n_rep, rng, block).astype(np.float64)
     raw = counts.mean(axis=0)
     se = counts.std(axis=0, ddof=1) / np.sqrt(n_rep)
-    return RenewalFunctionTable(t_grid, raw, se, n_rep, rng.seed, rng.stream_id, block)
+    return RenewalFunctionTable(t_grid, raw, se, n_rep, rng.seed, block)
 
 
 @dataclass(frozen=True)

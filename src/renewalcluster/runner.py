@@ -6,6 +6,8 @@ realization, ``pattern.csv``) among them: for each, its parameter schema,
 whether it simulates a process spec, whether it takes ``n_rep``, and its
 handler.  ``config.build_experiment_config`` validates against it and
 ``run_experiment`` dispatches from it, so a new kind is one entry here.
+``config`` reads every key, process keys included, in the schema format
+of ``Kind.params``.
 The scalar kinds (window mean, elementary ratio, void probability, key
 renewal sum) write one ``report.csv`` format, ``ExperimentReport.CSV_HEADER``,
 and are judged at ACCEPT_SE standard errors.
@@ -85,22 +87,23 @@ def run_experiment(
 ) -> int:
     """Execute the configured experiment and write artifacts into out_dir.
 
-    Files an earlier run left there under the runner's own names
-    (manifest.txt, error.txt, every kind's artifacts) are removed first;
-    no other file is touched."""
+    Once the handler has returned, or raised a RenewalClusterError (written
+    to error.txt), the files an earlier run left there under the runner's
+    own names (manifest.txt, error.txt, every kind's artifacts) are removed
+    and the new ones written; no other file is touched.  A value the
+    handler rejects (ValueError) leaves out_dir as it was."""
+    rng = stream_for(cfg.seed, cfg.kind)
+    try:
+        status, artifacts, computed = KINDS[cfg.kind].run(cfg.spec, cfg.params, cfg.n_rep, rng)
+        artifacts["manifest.txt"] = _manifest(cfg, raw_config, computed)
+    except RenewalClusterError as exc:
+        status, artifacts = STATUS_RUNTIME, {"error.txt": f"{type(exc).__name__}: {exc}\n"}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name in {"manifest.txt", "error.txt", *(a for k in KINDS.values() for a in k.artifacts)}:
         (out / name).unlink(missing_ok=True)
-    rng = stream_for(cfg.seed, cfg.kind)
-    try:
-        status, artifacts, computed = KINDS[cfg.kind].run(cfg.spec, cfg.params, cfg.n_rep, rng)
-    except RenewalClusterError as exc:
-        _write(out / "error.txt", f"{type(exc).__name__}: {exc}\n")
-        return STATUS_RUNTIME
     for name, text in artifacts.items():
         _write(out / name, text)
-    _write(out / "manifest.txt", _manifest(cfg, raw_config, computed))
     return status
 
 

@@ -225,20 +225,20 @@ class TestKeyRenewal:
 
 class TestReportSerialization:
     def test_csv_round_trip(self):
-        rep = ExperimentReport(0.5, 0.01, 0.47, 0.53, 100, 0.56, 7, 3, 2)
+        rep = ExperimentReport(0.5, 0.01, 0.47, 0.53, 100, 0.56, 7, 2)
         row = rep.to_csv_row()
-        back = ExperimentReport.from_csv_row(row, stream_id=3)
+        back = ExperimentReport.from_csv_row(row)
         assert back == rep
 
     def test_estimator_report_round_trip(self):
         spec = bartlett_lewis_preset(1.0, PoissonCount(1.0), Exponential(1.0))
         rep = estimate_window_mean(spec, 20.0, 1.0, 50, RngStream(31, 2))
         assert rep.block is not None
-        back = ExperimentReport.from_csv_row(rep.to_csv_row(), stream_id=2)
+        back = ExperimentReport.from_csv_row(rep.to_csv_row())
         assert back == rep
 
     def test_none_target_round_trip(self):
-        rep = ExperimentReport(1.0, 0.1, 0.7, 1.3, 10, None, 0, 0)
+        rep = ExperimentReport(1.0, 0.1, 0.7, 1.3, 10, None, 0)
         back = ExperimentReport.from_csv_row(rep.to_csv_row())
         assert back.target is None
         assert back.within(4.0) is None

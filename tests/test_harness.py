@@ -468,10 +468,18 @@ class TestCli:
             "key_renewal-piece-two-fields", "arrival_cap-0", "arrival_cap-negative",
             "recurrence_cdf-t-negative", "key_renewal-t-negative"])
     def test_verify_bad_value_exit_two(self, tmp_path, text, capsys):
+        # a rejected value leaves an earlier valid result as it was
         assert text != GATED_CONFIG
+        out = tmp_path / "o"
+        assert main(["verify", "--config", self._write(tmp_path, GATED_CONFIG, "good.txt"),
+                     "--out", str(out)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["manifest.txt", "report.csv"]
+        capsys.readouterr()
         cfg = self._write(tmp_path, text)
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
         assert "config error:" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_seed_override_changes_result(self, tmp_path):
         text = (

@@ -23,8 +23,6 @@ ALLOWED = {
     "coupling.run_coupling(start_override)": "test seam: fixes both starting epochs",
     "coupling.post_coupling_agreement(start_override)": "test seam: fixes both starting epochs",
     "coupling.random_walk_path(start_override)": "test seam: fixes both starting epochs",
-    "estimators.ExperimentReport.from_csv_row(stream_id)":
-        "the CSV row does not carry the stream id; a round trip passes it back",
 }
 
 

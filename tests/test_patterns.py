@@ -67,9 +67,9 @@ class TestCsvText:
         assert text == "x,k,flag\n0.5,3,true\n0.1,-4,false\n"
 
     def test_report_row_of_numpy_scalars(self):
-        python = ExperimentReport(0.5, 0.25, -0.25, 1.25, 40, None, 7, 0, 2)
+        python = ExperimentReport(0.5, 0.25, -0.25, 1.25, 40, None, 7, 2)
         numpy = ExperimentReport(*map(np.float64, (0.5, 0.25, -0.25, 1.25)), np.int64(40),
-                                 None, 7, 0, np.int64(2))
+                                 None, 7, np.int64(2))
         assert numpy.to_csv_row() == python.to_csv_row() == "0.5,0.25,-0.25,1.25,40,,7,2"
 
     def test_no_rows_writes_the_header_alone(self):
