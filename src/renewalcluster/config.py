@@ -140,7 +140,11 @@ def _model(d, used, key, table, default, got):
     if not isinstance(entry, tuple):  # a special name
         return None if entry is None else got[entry]
     cls, schema = entry
-    values = _read(d, used, schema, key + ".")
+    return _built(cls, _read(d, used, schema, key + "."))
+
+
+def _built(cls, values):
+    """cls(**values), a LawError raised as the ConfigError it is here."""
     try:
         return cls(**values)
     except LawError as exc:
@@ -148,7 +152,7 @@ def _model(d, used, key, table, default, got):
 
 
 def build_process_spec(d: dict, used: set) -> ProcessSpec:
-    return ProcessSpec(**_read(d, used, SPEC))
+    return _built(ProcessSpec, _read(d, used, SPEC))
 
 
 def build_experiment_config(d: dict) -> ExperimentConfig:

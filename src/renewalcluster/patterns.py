@@ -7,9 +7,14 @@ fixed summation order counts are reproducible, whereas epsilon rules make
 them order dependent.  A marked pattern holds the marks (xi_i, X_i) at
 epochs T_i as the block engine's flat arrays, with no object per arrival.
 
-``csv_text`` writes every artifact.  It formats a float array a column at a
-time, Schubfach's shortest round-trip digits in uint64 numpy arithmetic laid
-out as repr lays them out: repr(float(v)) for every float64, no str per value.
+``csv_text`` writes every artifact, 4,096 rows at a time.  Each field is a
+row-major slot of little-endian uint64 words, NUL where unused.  A float
+array's slots hold Schubfach's shortest round-trip digits, from one 128-bit
+product per value shared by the value and both ends of its rounding
+interval, in uint64 numpy arithmetic; an int array's hold its digits.  Both
+take digits four at a time from one table.  Fields and separators are
+placed by index and one pass drops the NULs: repr(float(v)) for every
+float64, str(v) for every int, with no Python str per value.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ __all__ = [
 # stored gap only up to rounding.
 _EPOCH_RTOL = 1e-9
 # Rows csv_text formats at a time; the float formatter's arrays for one
-# chunk peak at about 1.3 MB.
+# chunk peak at about 1.1 MB.
 _CSV_ROWS = 4096
 
 # Shortest round-trip digits (Schubfach: R. Giulietti, "The Schubfach way to
@@ -61,89 +66,204 @@ def _g(k: int) -> int:
 
 
 _G = np.array([(g >> 63, g & _M63) for g in map(_g, range(_K_MIN, 293))], np.uint64).T.copy()
-_POW10 = 10 ** np.arange(17, dtype=np.uint64)
-_SLOT = np.arange(18, dtype=np.uint8)[:, None]
-_PREFIX = np.frombuffer(b"0.000", np.uint8)[:, None]
-_NEWLINE = np.frombuffer(b"\0" * 29 + b"\n", np.uint8)[:, None]
-
-
-def _mulhi(a1, a0, b1, b0):
-    """High 64 bits of a b, from the 32-bit halves of uint64 a and b."""
-    t = a1 * b0 + (a0 * b0 >> 32)
-    w = a0 * b1 + (t & _M32)
-    return a1 * b1 + (t >> 32) + (w >> 32)
-
-
-def _rop(g, cp):
-    """g cp / 2^127 rounded to odd (Schubfach's r_o)."""
-    g1, g0, g1h, g1l, g0h, g0l = g
-    c1, c0 = cp >> 32, cp & _M32
-    z = (g1 * cp >> 1) + _mulhi(g0h, g0l, c1, c0)
-    return _mulhi(g1h, g1l, c1, c0) + (z >> 63) | ((z & _M63) + _M63) >> 63
+# By biased exponent, and at 2048 + the biased exponent for a power of two
+# (whose lower neighbour is nearer): k, h and g as 64-bit words g1 2^64 + g0.
+_Q = np.tile(np.maximum(np.arange(2048), 1) - 1075, 2)
+_KT = (_Q * 661_971_961_083 - (np.arange(4096) >= 2050) * 274_743_187_321) >> 41
+_HT = (_Q + _flog2pow10(-_KT) + 2).astype(np.uint64)
+_G1 = (_G[0] >> 1)[_KT - _K_MIN]
+_G0 = (_G[1] | _G[0] << 63)[_KT - _K_MIN]
 
 
 def _shortest(bits):
     """(f, k) with f 10^k the shortest decimal that rounds to each double
-    (the one nearest it, even f on a tie), for finite bit patterns."""
-    t, bq = bits & ((1 << 52) - 1), bits >> 52 & 0x7FF
-    q = np.maximum(bq, 1).astype(np.int64) - 1075
-    c = np.where(bq > 0, t | (1 << 52), t)
-    irregular = (t == 0) & (bq > 1)
-    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
-    h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
-    g1, g0 = np.take(_G, k - _K_MIN, axis=1)
-    g = (g1, g0, g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32)
-    odd, cb = c & 1, c << 2
-    vb, vbl, vbr = _rop(g, np.stack([cb, cb - 2 + irregular, cb + 2]) << h)
-    vbl, vbr = vbl + odd, vbr - odd
-    s = vb >> 2
-    sp = s // 10 * 10
-    upin, wpin = vbl <= sp << 2, sp + 10 << 2 <= vbr
-    uin, win = vbl <= s << 2, s + 1 << 2 <= vbr
-    mid = 4 * s + 2
-    pick_s = np.where(uin != win, uin, (vb < mid) | ((vb == mid) & (s & 1 == 0)))
-    f = np.where((s >= 10) & (upin != wpin), np.where(upin, sp, sp + 10), s + 1 - pick_s)
-    return f, k
+    (the one nearest it, even f on a tie), for finite bit patterns.
+
+    Schubfach rounds three products, g cb for the double and g (cb -+ 2)
+    for the ends of its rounding interval (cb = 4c), each cut down to a
+    whole multiple of L = 2^(63 - h).  Here one product g u, u = 2c, split
+    at K = 2^(128 - h) into s = floor(g u / K) and a remainder rho, gives
+    all three: how far each end reaches from s, in whole K, is a quotient
+    of g plus or minus rho, exact in two words.
+    """
+    t, bq = bits & ((1 << 52) - 1), bits >> 52
+    bq &= 0x7FF
+    c = np.minimum(bq, 1)
+    c <<= 52
+    c |= t
+    irregular = t == 0
+    irregular &= bq > 1
+    i = (bq + irregular * np.uint64(2048)).view(np.intp)
+    k, h, g1, g0 = np.take(_KT, i), np.take(_HT, i), np.take(_G1, i), np.take(_G0, i)
+    g1h, g1l, g0h, g0l = g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32
+    u = c << 1
+    uh, ul = u >> 32, u & _M32
+    x = g0l * ul
+    x >>= 32
+    x += g0h * ul
+    hi0 = x & _M32
+    hi0 += g0l * uh
+    hi0 >>= 32
+    x >>= 32
+    hi0 += x
+    hi0 += g0h * uh  # g0 u = hi0 2^64 + r0
+    r0 = g0 * u
+    w1 = g1 * u
+    w1 += hi0  # g u = w2 2^128 + w1 2^64 + r0
+    x = g1l * ul
+    x >>= 32
+    x += g1h * ul
+    x += g1l * uh
+    x >>= 32
+    x += g1h * uh
+    x += w1 < hi0
+    cut = 64 - h
+    s = x << h
+    s |= w1 >> cut
+    r1 = w1 << h
+    r1 >>= h  # rho = r1 2^64 + r0
+    # the upper end reaches s + above and the lower end s - below; an odd
+    # c leaves out its ends, a power of two has a lower end half as far
+    half = cut - 1
+    ell = np.left_shift(1, half, dtype=np.uint64)
+    odd = c & 1
+    e = ell * odd
+    t = g0 + r0
+    above = g1 + r1
+    above += t < r0
+    above -= t < e
+    above >>= cut  # floor((g - odd L + rho) / K)
+    e = ell - e
+    t = g0 + e
+    below = g1 + (t < e)
+    below -= r1
+    below -= t <= r0
+    below = below.view(np.int64)
+    below >>= cut.view(np.int64)  # floor((g + (1 - odd) L - 1 - rho) / K)
+    i = np.flatnonzero(irregular)
+    if i.size:  # floor((g + 2L - 1 - 2 rho) / 2K)
+        r0i = r0[i]
+        e = ell[i] << 1
+        t = g0[i] + e
+        b = g1[i] + (t < e) - (r1[i] << 1 | r0i >> 63) - (t <= r0i << 1)
+        below[i] = b.view(np.int64) >> (cut[i] + 1).view(np.int64)
+    sp = s // 10
+    sp *= 10
+    j = s - sp
+    uin, upin = below >= 0, below >= j.view(np.int64)
+    win, wpin = above >= 1, above >= 10 - j
+    e = ell & (s & 1) - 1  # vb > mid, or = and s odd: rho - (1 - s & 1) L >= K/2
+    up = r1 - (r0 < e)
+    up = up.view(np.int64) >> half.view(np.int64) >= 1
+    f = s + np.where(uin != win, win, up)
+    short = upin != wpin
+    short &= s >= 10
+    sp += wpin * np.uint64(10)
+    return np.where(short, sp, f), k
 
 
-def _repr_slots(x: np.ndarray) -> np.ndarray:
-    """repr(float(v)) of every v in a float64 array, v's text in column j of
-    a (29, len(x)) uint8 array, NUL where a slot is unused: row 0 the sign,
-    1-5 the "0.000" of a fixed form below 1, 6-23 the digits with the point
-    inserted, 24-28 the exponent."""
+def _table(fields, width: int = 24) -> np.ndarray:
+    """Byte strings, NUL padded to ``width``, as rows of uint64 words."""
+    text = b"".join(b.ljust(width, b"\0") for b in fields)
+    return np.frombuffer(text, np.uint64).reshape(len(fields), width // 8)
+
+
+# A number's text is four little-endian uint64 words, its 32-byte slot: word
+# 0 the sign and a leading "0.", words 1-3 up to 19 digits, bytes 2-6 of
+# word 3 an exponent and its byte 7 the separator.  Unused bytes are NUL,
+# which the CSV text drops.  Digits come four at a time from _DIGITS4: the
+# group's ASCII text in bytes 0-3 and, in bytes 4-7, 64 plus the count of its
+# digits up to the last nonzero one (0 for none).  _KEEP[:, e] keeps e bytes.
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+_I = np.arange(10000, dtype=np.uint64)
+_DIGITS4 = (_I // 1000 | _I // 100 % 10 << 8 | _I // 10 % 10 << 16 | _I % 10 << 24 | 0x30303030
+            | ((68 - (_I % 10 == 0) - (_I % 100 == 0) - (_I % 1000 == 0)) * (_I > 0)).astype(
+                np.uint64) << 32)
+_OFFSETS = np.array([[0], [8], [4], [12], [16]], np.uint64) << 32
+_KEEP = _table([b"\xff" * e for e in range(20)]).T.copy()
+# By decimal exponent d + 324 (the value is 0.digits x 10^d; row 0 is zero,
+# as 0.0): the power of ten that cuts off the digits before the point (1
+# for no point), the digits kept at least (plus 64), 2 at the point's byte,
+# the lead and the exponent.  repr's rule: fixed notation for
+# 1e-4 <= |v| < 1e16, else exponent notation.
+_D = np.arange(-324, 312)
+_D[0] = 1
+_FIXED, _WHOLE = (_D > -4) & (_D < 17), (_D > 0) & (_D < 17)
+_P = np.where(_WHOLE, _D, np.where(_FIXED, 18, 1))  # digits before the point
+_DCUT = _POW10[18 - _P]
+_DKEEP = np.where(_WHOLE, _D + 66, 64).astype(np.uint64)
+_DPOINT = np.zeros((3, len(_D)), np.uint64)
+_DPOINT[_P // 8 % 3, np.arange(len(_D))] = np.where(_P < 18, 2 << 8 * (_P % 8), 0)
+_E = _DIGITS4[np.abs(_D - 1)]  # 0ddd, or 00dd below 100
+_DLEAD = _table([b"", b"\0" + b"0.", b"\0" + b"0.0", b"\0" + b"0.00", b"\0" + b"0.000"], 8)[
+    np.where(_FIXED & ~_WHOLE, 1 - _D, 0), 0]
+_DEXP = (np.where(np.abs(_D - 1) < 100, _E >> 16 & 0xFFFF, _E >> 8 & 0xFFFFFF) << 32
+         | np.where(_D > 0, ord("+"), ord("-")).astype(np.uint64) << 24 | ord("e") << 16) * ~_FIXED
+_LAST_BYTE, _COMMA, _SEMICOLON, _NEWLINE = (np.uint64(ord(c) << 56) for c in "\xff,;\n")
+_SEPARATORS = {",": _COMMA, "\n": _NEWLINE}
+_END_ROW = np.array([[0, 0, 0, _NEWLINE]], np.uint64)
+
+
+def _digits(v):
+    """Slots (4, n) with the 19 digits of each v < 10^19 in words 1-3,
+    first digit lowest, and 64 plus the number of digits to the last
+    nonzero one (below 64 for v = 0)."""
+    g = np.empty((5, len(v)), np.uint64)  # digits 1-4, 9-12, 5-8, 13-16, 17-19
+    np.floor_divide(v, 10**11, out=g[2])
+    lo = v - g[2] * 10**11
+    np.floor_divide(lo, 1000, out=g[3])
+    np.multiply(lo - g[3] * 1000, 10, out=g[4])
+    np.floor_divide(g[2:4], 10000, out=g[:2])
+    g[2:4] -= g[:2] * 10000
+    g = np.take(_DIGITS4, g.view(np.intp))
+    slots = np.empty((4, len(v)), np.uint64)
+    np.bitwise_and(g[:2], _M32, out=slots[1:3])
+    slots[1:3] |= g[2:4] << 32
+    np.bitwise_and(g[4], _M32, out=slots[3])
+    g += _OFFSETS
+    return slots, g.max(axis=0) >> 32
+
+
+def _finish(slots, keep, sign, sep, lead=0, exp=0):
+    """(n, 4) slots from _digits: ``keep`` digit bytes, then the exponent
+    and the separator in word 3, the sign and the lead in word 0."""
+    words = slots[1:]
+    words &= np.take(_KEEP, keep.view(np.intp), axis=1)
+    words[2] |= exp | sep
+    np.bitwise_or(lead, sign * ord("-"), out=slots[0])
+    return slots.T
+
+
+def _int_slots(x, sep):
+    """The (n, 4) slots of str(v) for each v of an int64 array."""
+    v = x.astype(np.int64, copy=False).view(np.uint64)
+    neg = v >> 63
+    v = (v ^ (0 - neg)) + neg  # |v|, 2^63 included
+    ndig = np.maximum(np.searchsorted(_POW10, v, side="right"), 1)
+    return _finish(_digits(v * np.take(_POW10, 19 - ndig))[0], ndig, neg, sep)
+
+
+def _float_slots(x, sep):
+    """The (n, 4) slots of repr(float(v)) for each v of a float64 array."""
     bits = x.view(np.uint64)
     f, k = _shortest(bits)
-    zero = (bits & _M63) == 0
-    ndig = np.maximum(np.searchsorted(_POW10, f, side="right"), 1)
-    left = np.where(zero, 0, f * _POW10[17 - ndig])  # 17 digits, left-aligned
-    hi = left // 10**8
-    v = np.stack([hi, left - hi * 10**8]).astype(np.uint32)
-    digits = np.zeros((19, len(x)), np.uint8)  # a NUL row on either side
-    for j in range(9, 0, -1):  # the low half's ninth digit is 0: row 9 keeps hi's
-        r = v // 10
-        digits[[j, j + 8]] += (v - r * 10).astype(np.uint8)
-        v = r
-    nsig = np.maximum(((digits[1:18] != 0) * (_SLOT[:17] + 1)).max(axis=0), 1)
-    # repr's rule: fixed notation for 1e-4 <= |v| < 1e16, else exponent
-    decpt = np.where(zero, 1, ndig + k)
-    exp = (decpt < -3) | (decpt > 16)
-    above1 = ~exp & (decpt > 0)
-    point = np.where(exp, np.where(nsig > 1, 1, 99), np.where(above1, decpt, 99)).astype(np.uint8)
-    end = (np.where(above1, np.maximum(nsig, decpt + 1), nsig) + (point < 99)).astype(np.uint8)
-    out = np.zeros((29, len(x)), np.uint8)
-    out[0] = (bits >> 63) * ord("-")
-    out[1:6] = _PREFIX * (_SLOT[:5] < np.where(exp | above1, 0, 2 - decpt).astype(np.uint8))
-    digits[1:18] += ord("0")
-    body = np.where(_SLOT < point, digits[1:], digits[:18])
-    np.copyto(body, ord("."), where=_SLOT == point)
-    out[6:24] = body * (_SLOT < end)
-    ex = np.flatnonzero(exp)
-    a = np.abs(e := decpt[ex] - 1)
-    out[24:29, ex] = [np.full(ex.size, ord("e")), np.where(e < 0, ord("-"), ord("+")),
-                      np.where(a >= 100, 48 + a // 100, 0), 48 + a // 10 % 10, 48 + a % 10]
+    # f has 16 or 17 digits but for zero and subnormals
+    ndig = (f >= 10**16) + 16
+    small = np.flatnonzero(f < 10**15)
+    ndig[small] = np.searchsorted(_POW10, f[small], side="right")
+    d = ndig + k + 324
+    # 18 digits with a '0' put in after those before the point
+    v = f * np.take(_POW10, 18 - ndig)
+    v = v * 10 - v % np.take(_DCUT, d, mode="clip") * 9
+    slots, nsig = _digits(v)
+    slots[1:] -= np.take(_DPOINT, d, axis=1, mode="clip")  # the '0' becomes '.'
+    slots = _finish(slots, np.maximum(nsig, np.take(_DKEEP, d, mode="clip")) - 64, bits >> 63,
+                    sep, np.take(_DLEAD, d, mode="clip"), np.take(_DEXP, d, mode="clip"))
     for i in np.flatnonzero(~np.isfinite(x)):  # inf, -inf and nan
-        out[:, i] = np.frombuffer(repr(float(x[i])).encode().ljust(29, b"\0"), np.uint8)
-    return out
+        slots[i, :3] = 0
+        slots[i, 0] = _table([repr(float(x[i])).encode()], 8)[0, 0]
+        slots[i, 3] &= _LAST_BYTE
+    return slots
 
 
 def _field(v) -> str:
@@ -156,51 +276,43 @@ def _field(v) -> str:
     return "" if v is None else repr(v)
 
 
-def _cells(column) -> np.ndarray:
-    """The fields of one column as the columns of a uint8 array, NUL
-    padded: a float array by _repr_slots, anything else by _field."""
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return _repr_slots(column.astype(np.float64, copy=False))
-    ints = isinstance(column, np.ndarray) and column.dtype.kind in "iu"
-    fields = map(repr, column.tolist()) if ints else (_field(v).encode() for v in column)
-    cells = np.array(list(fields), dtype=bytes)
-    return cells.view(np.uint8).reshape(len(column), cells.itemsize).T
+def _slots(column, sep: str) -> np.ndarray:
+    """The fields of one column, each followed by ``sep``, as rows of uint64
+    words, NUL padded: a float or int array by _float_slots or _int_slots,
+    less the sign and lead word when no row has one, anything else by
+    _field."""
+    if isinstance(column, np.ndarray) and column.dtype.kind in "fiu":
+        if column.dtype.kind == "f":
+            slots = _float_slots(column.astype(np.float64, copy=False), _SEPARATORS[sep])
+        elif np.can_cast(column.dtype, np.int64):
+            slots = _int_slots(column, _SEPARATORS[sep])
+        else:  # uint64, whose values need not fit int64
+            return _slots(column.tolist(), sep)
+        return slots if slots[:, 0].any() else slots[:, 1:]
+    fields = [(_field(v) + sep).encode() for v in column]
+    width = max(map(len, fields), default=0) + 7 & ~7
+    return np.array(fields, dtype=f"S{width}").view(np.uint64).reshape(len(fields), width // 8)
 
 
-def _text(cells: np.ndarray) -> str:
-    """The text of the columns of a uint8 array, one after another, NULs dropped."""
-    return cells.T.tobytes().translate(None, b"\0").decode()
-
-
-def _joined(values: np.ndarray, sizes: np.ndarray) -> list[str]:
-    """Field i: the next sizes[i] floats of values, ';'-joined."""
-    fields = []
-    ends = np.cumsum(sizes)
-    for i in range(0, len(sizes), _CSV_ROWS):
-        k, end = sizes[i : i + _CSV_ROWS], ends[i : i + _CSV_ROWS]
-        lo, hi = end[0] - k[0], end[-1]
-        cells = np.concatenate([_repr_slots(values[lo:hi]),
-                                np.full((1, hi - lo), ord(";"), np.uint8)])
-        cells[-1, (end - lo - 1)[k > 0]] = 0
-        # a "\n" after each field's last value, so one split gives the fields
-        fields += _text(np.insert(cells, end - lo, _NEWLINE, axis=1)).split("\n")[:-1]
-    return fields
+def _text(slots: np.ndarray) -> str:
+    """The text of an array of slots, row after row, NULs dropped."""
+    return slots.tobytes().translate(None, b"\0").decode()
 
 
 def csv_text(header: str, *columns) -> str:
     """CSV text of equal-length columns under a header line, LF line ends.
     Each field: a float by repr, an int by str, None empty, a bool as
     true/false, a str as is; numpy values as the Python values they hold.
-    A float array's fields come from the vectorized formatter _repr_slots,
+    A float array's fields come from the vectorized formatter _float_slots,
     which gives repr's text for every float64."""
     if len(set(map(len, columns))) > 1:
         raise ValueError("columns differ in length")
     parts = [header + "\n"]
+    seps = [","] * (len(columns) - 1) + ["\n"]
     for i in range(0, max(map(len, columns), default=0), _CSV_ROWS):
-        cells = [_cells(c[i : i + _CSV_ROWS]) for c in columns]
-        comma, newline = (np.full((1, cells[0].shape[1]), ord(s), np.uint8) for s in ",\n")
-        seps = [comma] * (len(cells) - 1) + [newline]
-        parts.append(_text(np.concatenate([a for pair in zip(cells, seps) for a in pair])))
+        rows = slice(i, i + _CSV_ROWS)
+        parts.append(_text(np.concatenate([_slots(c[rows], s) for c, s in zip(columns, seps)],
+                                          axis=1)))
     return "".join(parts)
 
 
@@ -331,9 +443,27 @@ class MarkedPattern:
                      in zip(self.epochs.tolist(), self.gaps.tolist(), self.sizes.tolist(), ends))
 
     def to_csv(self) -> str:
-        header, *rows = csv_text(self.CSV_HEADER, self.epochs, self.gaps, self.sizes).split("\n")
-        offsets = _joined(self.offsets, self.sizes)
-        return "\n".join([header, *map(",".join, zip(rows, offsets)), ""])
+        parts = [self.CSV_HEADER + "\n"]
+        ends = np.cumsum(self.sizes)
+        for i in range(0, len(self), _CSV_ROWS):
+            rows = slice(i, i + _CSV_ROWS)
+            k, end = self.sizes[rows], ends[rows]
+            n, lo, hi = len(k), end[0] - k[0], end[-1]
+            sep = np.full(hi - lo, _SEMICOLON)
+            sep[end[k > 0] - lo - 1] = _NEWLINE
+            slots = np.concatenate([
+                _float_slots(self.epochs[rows], _COMMA), _float_slots(self.gaps[rows], _COMMA),
+                _int_slots(k, _COMMA), _float_slots(self.offsets[lo:hi], sep), _END_ROW])
+            # a row's slots, by index: epoch, gap, size, then its offsets or
+            # the empty field that ends a row
+            width = np.maximum(k, 1) + 3
+            first = np.cumsum(width) - width
+            order = np.full(first[-1] + width[-1], len(slots) - 1)
+            order[first[:, None] + [0, 1, 2]] = np.arange(n)[:, None] + [0, n, 2 * n]
+            order[np.repeat(first + 3 - (end - k - lo), k) + np.arange(hi - lo)] = np.arange(
+                3 * n, 3 * n + hi - lo)
+            parts.append(_text(np.take(slots, order, axis=0)))
+        return "".join(parts)
 
     @classmethod
     def from_csv(cls, text: str, window: tuple[float, float]) -> "MarkedPattern":

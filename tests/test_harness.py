@@ -108,6 +108,10 @@ n_rep = 200
 seed = 3
 """
 
+TINY_RATE_CONFIG = GATED_CONFIG.replace(
+    "interarrival.kind = uniform\ninterarrival.lo = 0\ninterarrival.hi = 5\n",
+    "interarrival.kind = exponential\ninterarrival.rate = 1e-320\n")
+
 
 class TestConfigParsing:
     def test_parse_kv_comments_and_blanks(self):
@@ -154,6 +158,13 @@ class TestConfigParsing:
     def test_bad_law_parameters_become_config_errors(self):
         d = parse_kv(GATED_CONFIG.replace("interarrival.hi = 5", "interarrival.hi = -1"))
         with pytest.raises(ConfigError):
+            build_experiment_config(d)
+
+    def test_gap_law_with_infinite_mean_is_a_config_error(self):
+        # the rate passes the law's own check; the mean 1 / rate overflows
+        # to inf, which ProcessSpec rejects
+        d = parse_kv(TINY_RATE_CONFIG)
+        with pytest.raises(ConfigError, match="finite positive mean"):
             build_experiment_config(d)
 
     def test_explicit_delay_law(self):
@@ -335,6 +346,11 @@ class TestCli:
     def test_config_error_exit_two(self, tmp_path):
         cfg = self._write(tmp_path, GATED_CONFIG + "mystery = 1\n")
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_gap_law_with_infinite_mean_exit_two(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, TINY_RATE_CONFIG)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "config error: the interarrival law needs" in capsys.readouterr().err
 
     def test_missing_config_file_exit_two(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "nope.txt")]) == 2
