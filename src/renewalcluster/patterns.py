@@ -7,14 +7,15 @@ fixed summation order counts are reproducible, whereas epsilon rules make
 them order dependent.  A marked pattern holds the marks (xi_i, X_i) at
 epochs T_i as the block engine's flat arrays, with no object per arrival.
 
-``csv_text`` writes every artifact, 4,096 rows at a time.  Each field is a
-row-major slot of little-endian uint64 words, NUL where unused.  A float
-array's slots hold Schubfach's shortest round-trip digits, from one 128-bit
-product per value shared by the value and both ends of its rounding
-interval, in uint64 numpy arithmetic; an int array's hold its digits.  Both
-take digits four at a time from one table.  Fields and separators are
-placed by index and one pass drops the NULs: repr(float(v)) for every
-float64, str(v) for every int, with no Python str per value.
+``csv_text`` writes every table and ``MarkedPattern.to_csv`` a marked path,
+4,096 rows at a time.  Each field is a row-major slot of little-endian
+uint64 words, NUL where unused.  A float array's slots hold Schubfach's
+shortest round-trip digits, from one 128-bit product per value shared by
+the value and both ends of its rounding interval, in uint64 numpy
+arithmetic; an int array's hold its digits.  Both take digits four at a
+time from one table.  Fields and separators are placed by index and one
+pass drops the NULs: repr(float(v)) for every float64, str(v) for every
+int, with no Python str per value.
 """
 
 from __future__ import annotations
