@@ -53,6 +53,11 @@ _CSV_ROWS = 4096
 # 2^(125 - flog2pow10(-k))) + 1 as its 63-bit halves g1 2^63 + g0.
 _K_MIN = -324
 _M32, _M63 = (1 << 32) - 1, (1 << 63) - 1
+# uint64 operands as numpy values: an operation with a Python int pays to
+# convert it on every call
+_C52M, _C7FF, _C52, _CM32, _C32, _C1, _C64, _C10, _C1E3, _C1E4, _C1E11 = (
+    np.array(c, np.uint64) for c in ((1 << 52) - 1, 0x7FF, 52, _M32, 32, 1, 64, 10, 1000, 10**4,
+                                     10**11))
 
 
 def _flog2pow10(e):
@@ -87,47 +92,47 @@ def _shortest(bits):
     all three: how far each end reaches from s, in whole K, is a quotient
     of g plus or minus rho, exact in two words.
     """
-    t, bq = bits & ((1 << 52) - 1), bits >> 52
-    bq &= 0x7FF
-    c = np.minimum(bq, 1)
-    c <<= 52
+    t, bq = bits & _C52M, bits >> _C52
+    bq &= _C7FF
+    c = np.minimum(bq, _C1)
+    c <<= _C52
     c |= t
     irregular = t == 0
-    irregular &= bq > 1
+    irregular &= bq > _C1
     i = (bq + irregular * np.uint64(2048)).view(np.intp)
     k, h, g1, g0 = np.take(_KT, i), np.take(_HT, i), np.take(_G1, i), np.take(_G0, i)
-    g1h, g1l, g0h, g0l = g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32
-    u = c << 1
-    uh, ul = u >> 32, u & _M32
+    g1h, g1l, g0h, g0l = g1 >> _C32, g1 & _CM32, g0 >> _C32, g0 & _CM32
+    u = c << _C1
+    uh, ul = u >> _C32, u & _CM32
     x = g0l * ul
-    x >>= 32
+    x >>= _C32
     x += g0h * ul
-    hi0 = x & _M32
+    hi0 = x & _CM32
     hi0 += g0l * uh
-    hi0 >>= 32
-    x >>= 32
+    hi0 >>= _C32
+    x >>= _C32
     hi0 += x
     hi0 += g0h * uh  # g0 u = hi0 2^64 + r0
     r0 = g0 * u
     w1 = g1 * u
     w1 += hi0  # g u = w2 2^128 + w1 2^64 + r0
     x = g1l * ul
-    x >>= 32
+    x >>= _C32
     x += g1h * ul
     x += g1l * uh
-    x >>= 32
+    x >>= _C32
     x += g1h * uh
     x += w1 < hi0
-    cut = 64 - h
+    cut = _C64 - h
     s = x << h
     s |= w1 >> cut
     r1 = w1 << h
     r1 >>= h  # rho = r1 2^64 + r0
     # the upper end reaches s + above and the lower end s - below; an odd
     # c leaves out its ends, a power of two has a lower end half as far
-    half = cut - 1
+    half = cut - _C1
     ell = np.left_shift(1, half, dtype=np.uint64)
-    odd = c & 1
+    odd = c & _C1
     e = ell * odd
     t = g0 + r0
     above = g1 + r1
@@ -148,12 +153,12 @@ def _shortest(bits):
         t = g0[i] + e
         b = g1[i] + (t < e) - (r1[i] << 1 | r0i >> 63) - (t <= r0i << 1)
         below[i] = b.view(np.int64) >> (cut[i] + 1).view(np.int64)
-    sp = s // 10
-    sp *= 10
+    sp = s // _C10
+    sp *= _C10
     j = s - sp
     uin, upin = below >= 0, below >= j.view(np.int64)
-    win, wpin = above >= 1, above >= 10 - j
-    e = ell & (s & 1) - 1  # vb > mid, or = and s odd: rho - (1 - s & 1) L >= K/2
+    win, wpin = above >= _C1, above >= _C10 - j
+    e = ell & (s & _C1) - _C1  # vb > mid, or = and s odd: rho - (1 - s & 1) L >= K/2
     up = r1 - (r0 < e)
     up = up.view(np.int64) >> half.view(np.int64) >= 1
     f = s + np.where(uin != win, win, up)
@@ -210,19 +215,19 @@ def _digits(v):
     first digit lowest, and 64 plus the number of digits to the last
     nonzero one (below 64 for v = 0)."""
     g = np.empty((5, len(v)), np.uint64)  # digits 1-4, 9-12, 5-8, 13-16, 17-19
-    np.floor_divide(v, 10**11, out=g[2])
-    lo = v - g[2] * 10**11
-    np.floor_divide(lo, 1000, out=g[3])
-    np.multiply(lo - g[3] * 1000, 10, out=g[4])
-    np.floor_divide(g[2:4], 10000, out=g[:2])
-    g[2:4] -= g[:2] * 10000
+    np.floor_divide(v, _C1E11, out=g[2])
+    lo = v - g[2] * _C1E11
+    np.floor_divide(lo, _C1E3, out=g[3])
+    np.multiply(lo - g[3] * _C1E3, _C10, out=g[4])
+    np.floor_divide(g[2:4], _C1E4, out=g[:2])
+    g[2:4] -= g[:2] * _C1E4
     g = np.take(_DIGITS4, g.view(np.intp))
     slots = np.empty((4, len(v)), np.uint64)
-    np.bitwise_and(g[:2], _M32, out=slots[1:3])
-    slots[1:3] |= g[2:4] << 32
-    np.bitwise_and(g[4], _M32, out=slots[3])
+    np.bitwise_and(g[:2], _CM32, out=slots[1:3])
+    slots[1:3] |= g[2:4] << _C32
+    np.bitwise_and(g[4], _CM32, out=slots[3])
     g += _OFFSETS
-    return slots, g.max(axis=0) >> 32
+    return slots, g.max(axis=0) >> _C32
 
 
 def _finish(slots, keep, sign, sep, lead=0, exp=0):
@@ -312,8 +317,8 @@ def csv_text(header: str, *columns) -> str:
     seps = [","] * (len(columns) - 1) + ["\n"]
     for i in range(0, max(map(len, columns), default=0), _CSV_ROWS):
         rows = slice(i, i + _CSV_ROWS)
-        parts.append(_text(np.concatenate([_slots(c[rows], s) for c, s in zip(columns, seps)],
-                                          axis=1)))
+        slots = [_slots(c[rows], s) for c, s in zip(columns, seps)]
+        parts.append(_text(slots[0] if len(slots) == 1 else np.concatenate(slots, axis=1)))
     return "".join(parts)
 
 
