@@ -33,6 +33,14 @@ by its arguments (spec, epsilon, steps_cap, rng, start_override).  The
 next ``post_coupling_agreement`` clears the slot and, when the key
 matches, reads on from that reader, the one a fresh walk would rebuild,
 so its report equals that of a fresh walk bit for bit.
+
+``rademacher_flip_test`` reads its n_rep x n signs from two substreams,
+row-major, one raw 64-bit word per sign and with the walk's convention:
++1 when the top bit is clear.  It draws and reduces them in chunks of at
+most ``_FLIP_WORDS`` words (one row when a row is wider), which read the
+stream positions of one (n_rep, n) draw, so it holds O(n_rep + chunk)
+words where the whole-matrix test held several (n_rep, n) arrays; its
+reports are bit-identical to that test's.
 """
 
 from __future__ import annotations
@@ -66,6 +74,9 @@ _BLOCK = 1 << 14
 _FIRST_CHUNK = 1024
 _DENSE_PATH = 10_000
 _SIGN = np.uint64(1 << 63)
+# The flip test draws and reduces its rows this many words at a time
+# (0.5 MB per uint64 array), a row wider than that alone.
+_FLIP_WORDS = 1 << 16
 # The walk handoff: "walk" -> (key, spec, (t0, t_delayed, tau, sum_plus,
 # sum_minus, reader)) of the last run_coupling.  A reader can be read on
 # only once, so every post_coupling_agreement pops it (an atomic take).
@@ -423,30 +434,40 @@ def rademacher_flip_test(
     against unflipped ones.
 
     ``rule="stopping"`` flips after the index at which ``ones_needed`` +1's
-    have accumulated (a stopping time: distributions agree).
-    ``rule="peek_ahead"`` flips after the argmax of the partial sums, which
-    looks into the future; it is a deliberate negative control and the test
-    is expected to reject.
+    have accumulated (a stopping time: distributions agree); ``ones_needed``
+    must lie in 1..n.  ``rule="peek_ahead"`` flips after the argmax of the
+    partial sums, which looks into the future; it is a deliberate negative
+    control and the test is expected to reject.  Arguments are checked
+    before any draw.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    ga = rng.substream(1).generator()
-    gb = rng.substream(2).generator()
-    signs = np.where(ga.random((n_rep, n)) < 0.5, 1, -1)
-    if rule == "stopping":
-        reached = np.cumsum(signs == 1, axis=1) >= ones_needed
-        found = reached.any(axis=1)
-        first = np.argmax(reached, axis=1)
-        first[~found] = n  # never reached: nothing flipped
-        flip = np.arange(n) > first[:, None]
-    elif rule == "peek_ahead":
-        s = np.cumsum(signs, axis=1)
-        flip = np.arange(n) > np.argmax(s, axis=1)[:, None]
-    else:
+    if not 1 <= ones_needed <= n:
+        raise ValueError(f"ones_needed must lie in 1..{n}")
+    if rule not in ("stopping", "peek_ahead"):
         raise ValueError(f"unknown rule {rule!r}")
-    flipped_sums = np.where(flip, -signs, signs).sum(axis=1)
-    plain_sums = np.where(gb.random((n_rep, n)) < 0.5, 1, -1).sum(axis=1)
-    return two_sample_ks(flipped_sums, plain_sums, alpha)
+    ga = rng.substream(1).generator().bit_generator
+    gb = rng.substream(2).generator().bit_generator
+    flipped = np.empty(n_rep, dtype=np.int64)
+    plain = np.empty(n_rep, dtype=np.int64)
+    i = np.arange(1, n + 1)
+    rows = max(1, _FLIP_WORDS // n)
+    for lo in range(0, n_rep, rows):
+        m = min(rows, n_rep - lo)
+        # S_i = i - 2 (the -1's among the first i steps); flipping after
+        # step j gives 2 S_j - S_n
+        s = i - 2 * np.cumsum((ga.random_raw((m, n)) >> 63).view(np.int64), axis=1)
+        if rule == "peek_ahead":
+            s_j = s.max(axis=1)
+        else:
+            # ones_needed +1's among the first i steps: S_i >= 2 ones_needed - i,
+            # with equality at the first such i; never reached, nothing flips
+            reached = s >= 2 * ones_needed - i
+            s_j = np.where(reached[:, -1], 2 * ones_needed - 1 - np.argmax(reached, axis=1),
+                           s[:, -1])
+        flipped[lo:lo + m] = 2 * s_j - s[:, -1]
+        plain[lo:lo + m] = n - 2 * np.count_nonzero(gb.random_raw((m, n)) >= _SIGN, axis=1)
+    return two_sample_ks(flipped, plain, alpha)
 
 
 def coupling_runs_to_csv(runs) -> str:

@@ -28,7 +28,10 @@ class KsReport:
 
 
 def ks_critical_value(n1: int, n2: int, alpha: float) -> float:
-    """Asymptotic two-sample KS critical value c(alpha) * sqrt((n1+n2)/(n1*n2))."""
+    """Asymptotic two-sample KS critical value c(alpha) * sqrt((n1+n2)/(n1*n2)),
+    for a level alpha in (0, 1)."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     c = np.sqrt(-0.5 * np.log(alpha / 2.0))
     return float(c * np.sqrt((n1 + n2) / (n1 * n2)))
 

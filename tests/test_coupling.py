@@ -1,5 +1,6 @@
 import importlib.util
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from renewalcluster.coupling import (
 )
 from renewalcluster.process import ProcessSpec
 from renewalcluster.runner import run_experiment
+from renewalcluster.stats import KsReport
 
 
 class TestRunCoupling:
@@ -309,6 +311,50 @@ class TestFlipTest:
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
             rademacher_flip_test(10, 100, RngStream(109), rule="oracle")
+
+    @pytest.mark.parametrize("n,ones_needed,rule", [
+        (0, 1, "stopping"), (20, 0, "stopping"), (20, -1, "stopping"), (20, 21, "stopping"),
+        (20, 50, "peek_ahead"), (20, 2, "oracle"),
+    ])
+    def test_bad_arguments_raise_before_any_draw(self, n, ones_needed, rule):
+        class NoDraws:
+            def substream(self, index):
+                raise AssertionError("drew before checking its arguments")
+
+        with pytest.raises(ValueError):
+            rademacher_flip_test(n, 100_000, NoDraws(), ones_needed, rule)
+
+    # KS reports of the whole-matrix flip test, recorded before it read its
+    # rows in chunks of _FLIP_WORDS words: (n, n_rep, seed, ones_needed, rule,
+    # distance, critical value).  The 100,000-row cases cross chunk seams,
+    # the 70,000-step rows are each wider than a chunk, and 7 steps do not
+    # divide the budget.
+    @pytest.mark.parametrize("n,n_rep,seed,ones_needed,rule,distance,critical", [
+        (20, 100000, 201, 2, "stopping", 0.0018500000000000183, 0.007278954160144188),
+        (20, 100000, 202, 2, "peek_ahead", 0.58475, 0.007278954160144188),
+        (1, 100000, 203, 1, "stopping", 0.0037499999999999756, 0.007278954160144188),
+        (1, 100000, 204, 1, "peek_ahead", 0.0037800000000000056, 0.007278954160144188),
+        (70000, 25, 205, 2, "stopping", 0.32000000000000006, 0.460361482600273),
+        (70000, 25, 206, 2, "peek_ahead", 0.76, 0.460361482600273),
+        (7, 30000, 207, 1, "stopping", 0.006000000000000005, 0.013289491295190144),
+        (7, 30000, 208, 3, "stopping", 0.005866666666666687, 0.013289491295190144),
+    ])
+    def test_reports_match_the_whole_matrix_test(self, n, n_rep, seed, ones_needed, rule,
+                                                 distance, critical):
+        assert n * n_rep > coupling._FLIP_WORDS
+        rep = rademacher_flip_test(n, n_rep, RngStream(seed), ones_needed, rule)
+        assert rep == KsReport(distance, critical, n_rep, n_rep, 0.01)
+
+    @pytest.mark.parametrize("rule", ["stopping", "peek_ahead"])
+    def test_memory_stays_bounded(self, rule):
+        # a whole (100,000, 20) sign matrix is 16 MB per array
+        tracemalloc.start()
+        try:
+            rademacher_flip_test(20, 100_000, RngStream(110), rule=rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class _SpecialValues:

@@ -61,6 +61,13 @@ class TestKs:
         with pytest.raises(ValueError):
             two_sample_ks([], [1.0])
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 1.0, 2.0, float("nan")])
+    def test_level_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError):
+            ks_critical_value(100, 400, alpha)
+        with pytest.raises(ValueError):
+            two_sample_ks([0.0, 1.0], [0.5], alpha)
+
 
 class TestEmpiricalCdf:
     def test_basic_values(self):
@@ -478,11 +485,24 @@ class TestCli:
         .replace("t = 20\nx = 1\n", "t = -5\ngrid = 0,1\n"),
         GATED_CONFIG.replace("experiment = window_mean", "experiment = key_renewal")
         .replace("t = 20\nx = 1\n", "t = -5\ng = 0:1:1\n"),
+        # the stopping arm cannot flip more +1's than n steps hold
+        "experiment = flip_test\nn = 20\nn_rep = 200\nones_needed = 50\n",
+        "experiment = flip_test\nn = 20\nn_rep = 200\nones_needed = 0\n",
+        # a KS level outside (0, 1) gives a check that cannot reject, or
+        # one that always does
+        "experiment = flip_test\nn = 20\nn_rep = 200\nalpha = 0\n",
+        "experiment = flip_test\nn = 20\nn_rep = 200\nalpha = 2\n",
+        GATED_CONFIG.replace("experiment = window_mean", "experiment = stationarity_check")
+        .replace("t = 20\nx = 1\n", "shifts = 0,10\nalpha = 0\n"),
+        GATED_CONFIG.replace("experiment = window_mean", "experiment = stationarity_check")
+        .replace("t = 20\nx = 1\n", "shifts = 0,10\nalpha = -1\n"),
     ], ids=["window_mean-x-negative", "window_mean-n_rep-0", "renewal_function-grid-unsorted",
             "coupling-n_rep-0", "elementary-n_rep-1", "renewal_function-n_rep-1",
             "stationarity_check-n_rep-1", "key_renewal-pieces-overlap",
             "key_renewal-piece-two-fields", "arrival_cap-0", "arrival_cap-negative",
-            "recurrence_cdf-t-negative", "key_renewal-t-negative"])
+            "recurrence_cdf-t-negative", "key_renewal-t-negative",
+            "flip_test-ones_needed-above-n", "flip_test-ones_needed-0", "flip_test-alpha-0",
+            "flip_test-alpha-2", "stationarity_check-alpha-0", "stationarity_check-alpha-negative"])
     def test_verify_bad_value_exit_two(self, tmp_path, text, capsys):
         # a rejected value leaves an earlier valid result as it was
         assert text != GATED_CONFIG
