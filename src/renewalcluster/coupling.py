@@ -34,13 +34,10 @@ next ``post_coupling_agreement`` clears the slot and, when the key
 matches, reads on from that reader, the one a fresh walk would rebuild,
 so its report equals that of a fresh walk bit for bit.
 
-``rademacher_flip_test`` reads its n_rep x n signs from two substreams,
-row-major, one raw 64-bit word per sign and with the walk's convention:
-+1 when the top bit is clear.  It draws and reduces them in chunks of at
-most ``_FLIP_WORDS`` words (one row when a row is wider), which read the
-stream positions of one (n_rep, n) draw, so it holds O(n_rep + chunk)
-words where the whole-matrix test held several (n_rep, n) arrays; its
-reports are bit-identical to that test's.
+``rademacher_flip_test`` reads its n_rep x n signs row-major, one raw word
+each, +1 when the top bit is clear, in chunks of at most ``_FLIP_WORDS``
+words (one row when a row is wider): the stream positions of one (n_rep, n)
+draw, held in O(n_rep + chunk) words.
 """
 
 from __future__ import annotations
@@ -74,8 +71,7 @@ _BLOCK = 1 << 14
 _FIRST_CHUNK = 1024
 _DENSE_PATH = 10_000
 _SIGN = np.uint64(1 << 63)
-# The flip test draws and reduces its rows this many words at a time
-# (0.5 MB per uint64 array), a row wider than that alone.
+# The flip test's chunk: 0.5 MB per uint64 array.
 _FLIP_WORDS = 1 << 16
 # The walk handoff: "walk" -> (key, spec, (t0, t_delayed, tau, sum_plus,
 # sum_minus, reader)) of the last run_coupling.  A reader can be read on
@@ -440,16 +436,13 @@ def rademacher_flip_test(
     control and the test is expected to reject.  Arguments are checked
     before any draw.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if not 1 <= ones_needed <= n:
-        raise ValueError(f"ones_needed must lie in 1..{n}")
+        raise ValueError(f"need 1 <= ones_needed <= n, got ones_needed = {ones_needed}, n = {n}")
     if rule not in ("stopping", "peek_ahead"):
         raise ValueError(f"unknown rule {rule!r}")
     ga = rng.substream(1).generator().bit_generator
     gb = rng.substream(2).generator().bit_generator
-    flipped = np.empty(n_rep, dtype=np.int64)
-    plain = np.empty(n_rep, dtype=np.int64)
+    sums = np.empty((2, n_rep), dtype=np.int64)  # flipped, plain
     i = np.arange(1, n + 1)
     rows = max(1, _FLIP_WORDS // n)
     for lo in range(0, n_rep, rows):
@@ -465,9 +458,9 @@ def rademacher_flip_test(
             reached = s >= 2 * ones_needed - i
             s_j = np.where(reached[:, -1], 2 * ones_needed - 1 - np.argmax(reached, axis=1),
                            s[:, -1])
-        flipped[lo:lo + m] = 2 * s_j - s[:, -1]
-        plain[lo:lo + m] = n - 2 * np.count_nonzero(gb.random_raw((m, n)) >= _SIGN, axis=1)
-    return two_sample_ks(flipped, plain, alpha)
+        sums[0, lo:lo + m] = 2 * s_j - s[:, -1]
+        sums[1, lo:lo + m] = n - 2 * np.count_nonzero(gb.random_raw((m, n)) >= _SIGN, axis=1)
+    return two_sample_ks(*sums, alpha)
 
 
 def coupling_runs_to_csv(runs) -> str:
