@@ -433,8 +433,8 @@ def rademacher_flip_test(
     have accumulated (a stopping time: distributions agree); ``ones_needed``
     must lie in 1..n.  ``rule="peek_ahead"`` flips after the argmax of the
     partial sums, which looks into the future; it is a deliberate negative
-    control and the test is expected to reject.  Arguments are checked
-    before any draw.
+    control and the test is expected to reject.  ``n``, ``ones_needed`` and
+    ``rule`` are checked before any draw.
     """
     if not 1 <= ones_needed <= n:
         raise ValueError(f"need 1 <= ones_needed <= n, got ones_needed = {ones_needed}, n = {n}")
