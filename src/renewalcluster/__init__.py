@@ -58,5 +58,5 @@ from .stationary import (
     sample_stationary_cluster_process,
     sample_stationary_marked_renewal,
 )
-from .stats import KsReport, empirical_cdf, two_sample_ks
+from .stats import KsReport, two_sample_ks
 from .streams import RngStream, stream_for

@@ -3,10 +3,11 @@
 Each estimator simulates its replications in blocks of B rows (see
 ``replicate``), where block k draws from substream k of the experiment's
 stream, so results depend only on the seed, B and the replication count,
-never on the order in which blocks run.  The scalar estimators (window
-mean, elementary ratio, void probability, key renewal sum) report an
-``ExperimentReport``: a normal-approximation confidence interval next to
-the closed-form limit.
+never on the order in which blocks run.  Every estimator reads window
+counts, the recurrence CDF too, as P(N(t, t + x] >= 1).  The scalar
+estimators (window mean, elementary ratio, void probability, key renewal
+sum) report an ``ExperimentReport``: a normal-approximation confidence
+interval next to the closed-form limit.
 
 The Bartlett-Lewis void-probability and recurrence-CDF targets integrate
 the step survival function with ``scipy.integrate.quad``, imported on
@@ -22,7 +23,6 @@ import numpy as np
 from .errors import QuadratureError
 from .patterns import csv_text
 from .process import ProcessSpec, block_size, delayed_block, guard_band
-from .stats import empirical_cdf
 from .streams import RngStream
 
 __all__ = [
@@ -220,13 +220,16 @@ def estimate_forward_recurrence_cdf(
     rng: RngStream,
     target=None,
 ) -> CdfReport:
-    """Empirical CDF of the gap to the first point strictly after t.
+    """Empirical CDF of the forward-recurrence time W_t on the grid, by the
+    void identity P(W_t <= x) = P(N(t, t + x] >= 1).
 
-    Each block reads one delayed block on (0, t + pad + guard] from its
-    substream 0, with pad = max(x_grid[-1], 1) + 10 E X.  A row with no
-    point in (t, t + pad] is censored at the pad: its gap counts as inf.
-    That is exact on the grid, because its true gap exceeds the pad and
-    so every grid value, and adds nothing to the CDF there.
+    Per row, the grid values x with (t, t + x] empty are a prefix of the
+    grid; the CDF at index j is the fraction of rows whose prefix is at
+    most j long.  Each block reads one delayed block on (0, t + pad + guard]
+    from its substream 0, with pad = max(x_grid[-1], 1) + 10 E X: the pad
+    is only the stream layout of the pinned ``cdf.csv`` and criterion 4,
+    and dropping it changes them.  With no ``target``, a Bartlett-Lewis
+    spec gets its closed-form limit.
     """
     if t < 0:
         raise ValueError("need t >= 0")
@@ -238,12 +241,14 @@ def estimate_forward_recurrence_cdf(
 
     def rows_of(stream, rows):
         blk = delayed_block(spec, rows, t_max, stream.substream(0).generator())
-        return blk.first_after(t, t + pad) - t
+        return np.count_nonzero(blk.grid_counts(t, t + x_grid) == 0, axis=1)
 
     block = block_size(spec, t_max)
-    gaps = replicate(rows_of, n_rep, rng, block)
-    values = empirical_cdf(gaps, x_grid)
+    k = replicate(rows_of, n_rep, rng, block)
+    values = np.cumsum(np.bincount(k, minlength=x_grid.size + 1)[:x_grid.size]) / n_rep
     half = DEFAULT_Z * np.sqrt(np.maximum(values * (1.0 - values), 0.0) / n_rep)
+    if target is None and (params := _bartlett_lewis_params(spec)) is not None:
+        target = bartlett_lewis_recurrence_cdf(*params, x_grid)
     tgt = None if target is None else np.asarray(target, dtype=np.float64)
     return CdfReport(x_grid, values, half, n_rep, tgt, rng.seed, block)
 
@@ -342,12 +347,11 @@ def estimate_renewal_function(
     rng: RngStream,
 ) -> RenewalFunctionTable:
     """Monte Carlo estimate of the expected count of points at or below each
-    grid time, per-replication full counting."""
+    grid time: per replication, the count in (-inf, u] for each grid time u."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if t_grid.size == 0 or np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be sorted and nonempty")
-    lo = min(0.0, float(t_grid[0])) - guard_band(spec) - 1.0
-    fn, block = _delayed_rows(spec, float(t_grid[-1]), lambda b: b.grid_counts(lo, t_grid))
+    fn, block = _delayed_rows(spec, float(t_grid[-1]), lambda b: b.grid_counts(-np.inf, t_grid))
     counts = replicate(fn, n_rep, rng, block).astype(np.float64)
     raw = counts.mean(axis=0)
     se = counts.std(axis=0, ddof=1) / np.sqrt(n_rep)

@@ -112,7 +112,9 @@ class Block:
     order, with their gaps and cluster sizes; ``offsets`` holds the
     clusters' offsets in arrival order, and row r's cluster points are
     ``points[point_starts[r]:point_starts[r + 1]]``.  When the spec
-    includes parents, the epochs count as points too.
+    includes parents, the epochs count as points too.  Estimators read a
+    block through its counts alone: ``window_counts`` for one window and
+    ``grid_counts`` for nested ones.
     """
 
     def __init__(self, starts, epochs, gaps, sizes, offsets, include_parents):
@@ -139,13 +141,6 @@ class Block:
             count = count + _segment_reduce(np.add, (p > lo) & (p <= hi), starts, 0)
             total = total + np.diff(starts)
         return count, total - count
-
-    def first_after(self, t, hi) -> np.ndarray:
-        """Per row: the least point in (t, hi], inf where there is none."""
-        return np.min([
-            _segment_reduce(np.minimum, np.where((p > t) & (p <= hi), p, np.inf), starts, np.inf)
-            for p, starts in self.sources
-        ], axis=0)
 
     def grid_counts(self, lo, grid) -> np.ndarray:
         """(rows, len(grid)) counts of the points in (lo, u] for each u of

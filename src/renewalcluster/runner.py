@@ -38,8 +38,6 @@ from .errors import RenewalClusterError
 from .estimators import (
     ExperimentReport,
     StepFunction,
-    _bartlett_lewis_params,
-    bartlett_lewis_recurrence_cdf,
     estimate_elementary_ratio,
     estimate_forward_recurrence_cdf,
     estimate_key_renewal,
@@ -121,10 +119,7 @@ def _reported(params, estimator):
 
 
 def _recurrence_cdf(spec, p, n_rep, rng):
-    grid = np.array(p["grid"])
-    params = _bartlett_lewis_params(spec)
-    target = None if params is None else bartlett_lewis_recurrence_cdf(*params, grid)
-    rep = estimate_forward_recurrence_cdf(spec, p["t"], grid, n_rep, rng, target=target)
+    rep = estimate_forward_recurrence_cdf(spec, p["t"], np.array(p["grid"]), n_rep, rng)
     gap = rep.max_target_gap
     status = STATUS_OK if gap is None or gap < p["tol"] else STATUS_FAIL
     return status, {"cdf.csv": rep.to_csv()}, {"block": rep.block}
@@ -195,6 +190,16 @@ def _finite(s: str) -> float:
     return x
 
 
+def _fraction(closed: bool):
+    """Parser of a verdict's level: a float in (0, 1), or (0, 1] when ``closed``."""
+    def parse(s: str) -> float:
+        x = _finite(s)
+        if not (0.0 < x < 1.0 or (closed and x == 1.0)):
+            raise ValueError(f"must lie in (0, 1{']' if closed else ')'}")
+        return x
+    return parse
+
+
 def _floats(s: str):
     return tuple(_finite(p) for p in s.split(",") if p.strip())
 
@@ -238,14 +243,15 @@ KINDS = {
     "window_mean": _reported({"t": _finite, "x": _finite}, estimate_window_mean),
     "elementary": _reported({"t": _finite}, estimate_elementary_ratio),
     "recurrence_cdf": Kind(
-        {"t": _finite, "grid": _floats, "tol": (_finite, 0.01)}, ("cdf.csv",), _recurrence_cdf
+        {"t": _finite, "grid": _floats, "tol": (_fraction(False), 0.01)}, ("cdf.csv",),
+        _recurrence_cdf,
     ),
     "void_prob": _reported({"t": _finite, "x": _finite}, estimate_void_probability),
     "renewal_function": Kind({"grid": _floats}, ("renewal.csv",), _renewal_function),
     "key_renewal": _reported({"t": _finite, "g": _pieces}, estimate_key_renewal),
     "coupling": Kind(
         {"epsilon": _finite, "steps_cap": (int, 10**7), "k_checks": (int, 100),
-         "min_finite": (_finite, 0.99)},
+         "min_finite": (_fraction(True), 0.99)},
         ("coupling.csv",),
         _coupling,
     ),

@@ -1,6 +1,6 @@
-"""Empirical-CDF utilities and the two-sample Kolmogorov-Smirnov test.
+"""The two-sample Kolmogorov-Smirnov test.
 
-These operationalize distributional-equality claims: two samples are
+It operationalizes distributional-equality claims: two samples are
 declared equal in law when the sup distance between their empirical CDFs
 stays below the asymptotic critical value at the chosen level.
 """
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KsReport", "two_sample_ks", "empirical_cdf", "ks_critical_value"]
+__all__ = ["KsReport", "two_sample_ks", "ks_critical_value"]
 
 
 @dataclass(frozen=True)
@@ -48,13 +48,3 @@ def two_sample_ks(a, b, alpha: float = 0.01) -> KsReport:
     distance = float(np.max(np.abs(fa - fb)))
     return KsReport(distance, ks_critical_value(a.size, b.size, alpha), a.size, b.size, alpha)
 
-
-def empirical_cdf(sample, grid) -> np.ndarray:
-    """Right-continuous empirical CDF of the sample evaluated on a sorted grid."""
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.size and np.any(np.diff(grid) < 0):
-        raise ValueError("grid must be sorted")
-    s = np.sort(np.asarray(sample, dtype=np.float64))
-    if s.size == 0:
-        return np.zeros(grid.size)
-    return np.searchsorted(s, grid, side="right") / s.size

@@ -5,6 +5,8 @@ sample sizes follow the stated tolerances, so the whole module runs in a
 few minutes single-threaded.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import beta
@@ -31,7 +33,7 @@ from renewalcluster import (
     two_sample_ks,
 )
 from renewalcluster.config import build_experiment_config, parse_kv
-from renewalcluster.estimators import ExperimentReport, _report, _window_rows
+from renewalcluster.estimators import ExperimentReport, _report, _window_rows, replicate
 from renewalcluster.runner import run_experiment
 
 GATED_RATE = 0.56  # 1.4 points per cluster / 2.5 mean gap
@@ -146,6 +148,21 @@ class TestAcceptance:
         ok = not any(c.reject for c in checks)
         dists = ", ".join(f"{c.distance:.4f}<{c.critical_value:.4f}" for c in checks)
         _verdict(6, f"KS of window counts at shifts {shifts}: {dists}", ok)
+
+    def test_06_control_zero_delay_rejects(self):
+        # negative control: with zero delay the gated process starts at an
+        # arrival without a cluster, so it is not stationary and the same
+        # KS must tell its windows at shifts 0 and 200 apart
+        spec = dataclasses.replace(gated_cluster_preset(), delay=None)
+        rng = stream_for(0, "acceptance-stationarity-control")
+        samples = []
+        for i, s in enumerate((0.0, 200.0)):
+            fn, block = _window_rows(spec, s, s + 1.0)
+            samples.append(replicate(fn, 10_000, rng.substream(i), block)[:, 0])
+        ks = two_sample_ks(samples[0], samples[1], alpha=0.01)
+        print(f"CONTROL 6: zero-delay process at shifts (0, 200): KS "
+              f"{ks.distance:.4f} against {ks.critical_value:.4f}")
+        assert ks.reject
 
     def test_07_size_biasing_identity(self):
         law = Uniform(0.0, 5.0)

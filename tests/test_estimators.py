@@ -137,11 +137,14 @@ class TestVoidProbability:
         assert rep.estimate >= bound - 4 * rep.std_error
 
 
+BL_SPEC = bartlett_lewis_preset(1.0, PoissonCount(1.0), Exponential(1.0))
+
+
 class TestForwardRecurrenceCdf:
     def test_heavy_tailed_gaps_within_dkw_band(self):
         # One gap in 100 has mean 1000, so the gap covering t is mostly a
-        # long one and most rows have no point within the pad (151): they
-        # are censored there.  The target is the renewal process's
+        # long one and most rows have no point in (t, t + 50]: their
+        # windows are all empty.  The target is the renewal process's
         # stationary forward-recurrence law, (1/mu) sum w (1 - e^(-r x)) / r.
         comps = ((0.99, 10.0), (0.01, 0.001))
         law = Mixture(tuple((w, Exponential(r)) for w, r in comps))
@@ -155,6 +158,71 @@ class TestForwardRecurrenceCdf:
         )
         # DKW-Massart simultaneous band at alpha = 1e-3
         assert rep.max_target_gap <= np.sqrt(np.log(2.0 / 1e-3) / (2 * n_rep))
+
+    HEAVY = ProcessSpec(Mixture(((0.99, Exponential(10.0)), (0.01, Exponential(0.001)))),
+                        EmptyCluster(), include_parents=True)
+
+    # CDF counts (values * n_rep) and half-widths recorded from the earlier
+    # first-point estimator, which compared (p - t) <= x where this one
+    # compares p <= t + x; the two can differ only where p == fl(t + x).
+    # Each case runs on stream_for(7, "recurrence-<name>").
+    RECORDED = {
+        "criterion-4-spec": (
+            BL_SPEC, 200.0, np.linspace(0.0, 3.0, 20), 3000,
+            [0, 787, 1351, 1725, 2001, 2205, 2369, 2484, 2573, 2661, 2731, 2774, 2812, 2846,
+             2869, 2891, 2910, 2924, 2935, 2944],
+            [0.0, 0.02409447377857974, 0.027250681948653446, 0.027076281133124616,
+             0.02581342673881172, 0.02417281530976481, 0.022322178806439726,
+             0.02066997822930639, 0.019136971198877493, 0.017340501722845278,
+             0.01564863146305985, 0.014455956096594466, 0.013274737913294808,
+             0.012086962673338027, 0.011192839973244797, 0.010248886118338258,
+             0.009343446901438467, 0.008606664084688482, 0.007974438329228367,
+             0.00741314148432814],
+        ),
+        "t-zero": (
+            BL_SPEC, 0.0, np.linspace(0.0, 3.0, 7), 500,
+            [0, 196, 309, 389, 436, 455, 473],
+            [0.0, 0.06549845799711623, 0.06518717665308109, 0.05575740309591184,
+             0.044822851314926415, 0.03839531221386277, 0.030323456267384842],
+        ),
+        "zero-and-repeats": (
+            BL_SPEC, 50.0, [0.0, 0.0, 0.5, 0.5, 0.5, 1.25, 3.0, 3.0], 400,
+            [0, 0, 227, 227, 227, 353, 393, 393],
+            [0.0, 0.0, 0.07431341988497098, 0.07431341988497098, 0.07431341988497098,
+             0.048302270909347536, 0.019668741062915013, 0.019668741062915013],
+        ),
+        "heavy-tailed": (
+            HEAVY, 20_000.0, np.linspace(0.0, 50.0, 11), 300,
+            [0, 5, 8, 8, 9, 11, 13, 14, 16, 18, 18],
+            [0.0, 0.022173557826083448, 0.027904599381941803, 0.027904599381941803,
+             0.029546573405388313, 0.03255252166371549, 0.03526565846069894,
+             0.03653309002352068, 0.03891871871820379, 0.04113392760240626,
+             0.04113392760240626],
+        ),
+        "no-points": (
+            ProcessSpec(Exponential(1.0), EmptyCluster()), 20.0, [0.0, 1.0, 2.0], 50,
+            [0, 0, 0], [0.0, 0.0, 0.0],
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_values_match_the_recorded_table(self, name):
+        spec, t, grid, n_rep, counts, half = self.RECORDED[name]
+        rep = estimate_forward_recurrence_cdf(spec, t, grid, n_rep,
+                                              stream_for(7, "recurrence-" + name))
+        assert np.array_equal(rep.values, np.array(counts) / n_rep)
+        assert np.array_equal(rep.half_widths, half)
+
+    def test_bartlett_lewis_target_attached_unless_given(self):
+        grid = np.array([0.0, 1.0, 2.5])
+        rng = stream_for(7, "recurrence-target")
+        own = estimate_forward_recurrence_cdf(BL_SPEC, 20.0, grid, 50, rng)
+        expected = bartlett_lewis_recurrence_cdf(1.0, 1.0, lambda y: np.exp(-y), grid)
+        assert own.target == pytest.approx(expected, abs=1e-12)
+        given = estimate_forward_recurrence_cdf(BL_SPEC, 20.0, grid, 50, rng, target=grid)
+        assert np.array_equal(given.target, grid)
+        assert np.array_equal(given.values, own.values)
+        assert estimate_forward_recurrence_cdf(self.HEAVY, 20.0, grid, 50, rng).target is None
 
 
 class TestRenewalFunction:

@@ -8,7 +8,6 @@ from renewalcluster import (
     PointPattern,
     RngStream,
     Uniform,
-    empirical_cdf,
     sample_renewal_cluster_process,
     stream_for,
     theoretical_blackwell_limit,
@@ -67,19 +66,6 @@ class TestKs:
             ks_critical_value(100, 400, alpha)
         with pytest.raises(ValueError):
             two_sample_ks([0.0, 1.0], [0.5], alpha)
-
-
-class TestEmpiricalCdf:
-    def test_basic_values(self):
-        vals = empirical_cdf([1.0, 2.0, 3.0], [0.5, 2.0, 10.0])
-        assert np.allclose(vals, [0.0, 2.0 / 3.0, 1.0])
-
-    def test_empty_sample(self):
-        assert np.all(empirical_cdf([], [1.0, 2.0]) == 0.0)
-
-    def test_unsorted_grid_rejected(self):
-        with pytest.raises(ValueError):
-            empirical_cdf([1.0], [2.0, 1.0])
 
 
 class TestStreams:
@@ -233,6 +219,18 @@ KIND_PARAMS = {
     "stationarity_check": "shifts = 0,10\n",
     "flip_test": "n = 20\n",
 }
+
+# a coupling whose walks are all capped at one step, and a recurrence CDF
+# with a closed-form target: each verdict turns on its level alone
+COUPLING_CAPPED = ("experiment = coupling\n" + GATED_SPEC
+                   + "epsilon = 0.2\nsteps_cap = 1\nn_rep = 5\n")
+BL_RECURRENCE = (
+    "interarrival.kind = exponential\ninterarrival.rate = 1\n"
+    "cluster.kind = cumulative_steps\ncluster.size.kind = poisson\n"
+    "cluster.size.rate = 1\ncluster.step.kind = exponential\n"
+    "cluster.step.rate = 1\ninclude_parents = true\n"
+    "experiment = recurrence_cdf\nt = 20\ngrid = 0,1\nn_rep = 50\n"
+)
 
 
 class TestRunner:
@@ -496,13 +494,25 @@ class TestCli:
         .replace("t = 20\nx = 1\n", "shifts = 0,10\nalpha = 0\n"),
         GATED_CONFIG.replace("experiment = window_mean", "experiment = stationarity_check")
         .replace("t = 20\nx = 1\n", "shifts = 0,10\nalpha = -1\n"),
+        # a coupled fraction of at most 0 always passes, one above 1 never
+        # does; every walk is capped at one step
+        COUPLING_CAPPED + "min_finite = 0\n",
+        COUPLING_CAPPED + "min_finite = -3\n",
+        COUPLING_CAPPED + "min_finite = 1.5\n",
+        # a CDF gap lies in [0, 1]: a tol of at most 0 always fails, one of
+        # at least 1 always passes
+        BL_RECURRENCE + "tol = 0\n",
+        BL_RECURRENCE + "tol = -0.5\n",
+        BL_RECURRENCE + "tol = 1\n",
     ], ids=["window_mean-x-negative", "window_mean-n_rep-0", "renewal_function-grid-unsorted",
             "coupling-n_rep-0", "elementary-n_rep-1", "renewal_function-n_rep-1",
             "stationarity_check-n_rep-1", "key_renewal-pieces-overlap",
             "key_renewal-piece-two-fields", "arrival_cap-0", "arrival_cap-negative",
             "recurrence_cdf-t-negative", "key_renewal-t-negative",
             "flip_test-ones_needed-above-n", "flip_test-ones_needed-0", "flip_test-alpha-0",
-            "flip_test-alpha-2", "stationarity_check-alpha-0", "stationarity_check-alpha-negative"])
+            "flip_test-alpha-2", "stationarity_check-alpha-0", "stationarity_check-alpha-negative",
+            "coupling-min_finite-0", "coupling-min_finite-negative", "coupling-min_finite-above-1",
+            "recurrence_cdf-tol-0", "recurrence_cdf-tol-negative", "recurrence_cdf-tol-1"])
     def test_verify_bad_value_exit_two(self, tmp_path, text, capsys):
         # a rejected value leaves an earlier valid result as it was
         assert text != GATED_CONFIG
@@ -552,7 +562,7 @@ class TestCli:
         # seed 30: the one run couples at tau 67; an agreement walked on
         # another substream at the default cap of 10^7 was capped there
         # and failed the experiment
-        cfg = self._write(tmp_path, self.COUPLING_CONFIG + "min_finite = 0\nn_rep = 1\nseed = 30\n")
+        cfg = self._write(tmp_path, self.COUPLING_CONFIG + "min_finite = 1\nn_rep = 1\nseed = 30\n")
         out = tmp_path / "cpl"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "coupling.csv").read_text() == (
@@ -605,7 +615,7 @@ class TestCli:
         assert capsys.readouterr().out == "== error.txt\n" + (out / "error.txt").read_text()
 
     def test_recurrence_cdf_of_a_spec_without_points(self, tmp_path):
-        # no clusters and no parents: every row is censored at the pad, and
+        # no clusters and no parents: every window (t, t + x] is empty, and
         # the exact CDF on the grid is 0
         text = ("experiment = recurrence_cdf\ninterarrival.kind = exponential\n"
                 "interarrival.rate = 1\ncluster.kind = empty\nt = 20\ngrid = 0,1,2\n"

@@ -268,6 +268,8 @@ class TestBlockBookkeeping:
     # in every row, so each boundary's open or closed side is tested
     LO, HI, T, GRID_LO = 0.25, 12.0, 0.25, -0.5
     GRID = np.array([0.25, 4.5, 9.0, 12.0])
+    # the recurrence estimator's windows (T, T + x]
+    X = np.array([0.0, 0.25, 4.25, 11.75])
     B, N_REP = 7, 24  # odd block size, n_rep not a multiple of it
 
     SPECS = {
@@ -305,14 +307,17 @@ class TestBlockBookkeeping:
                 pts.append(e)
         pts = np.array(pts)
         count = int(np.sum((pts > self.LO) & (pts <= self.HI)))
-        after = pts[(pts > self.T) & (pts <= self.HI)]
+        after = pts[pts > self.T]
         first = after.min() if after.size else np.inf
         grid = [int(np.sum((pts > self.GRID_LO) & (pts <= u))) for u in self.GRID]
         got_count, got_overflow = blk.window_counts(self.LO, self.HI)
         return not (
             got_count[r] == count
             and got_overflow[r] == pts.size - count
-            and blk.first_after(self.T, self.HI)[r] == first
+            # the first point after T lies in (T, T + x] exactly where
+            # that window's count is positive
+            and np.array_equal(blk.grid_counts(self.T, self.T + self.X)[r] > 0,
+                               first <= self.T + self.X)
             and np.array_equal(blk.grid_counts(self.GRID_LO, self.GRID)[r], grid)
         )
 
