@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import QuadratureError
 from .patterns import csv_text
-from .process import ProcessSpec, block_size, delayed_block, guard_band
+from .process import ProcessSpec, _segment_reduce, block_size, delayed_block, guard_band
 from .streams import RngStream
 
 __all__ = [
@@ -218,18 +218,17 @@ def estimate_forward_recurrence_cdf(
     x_grid,
     n_rep: int,
     rng: RngStream,
-    target=None,
 ) -> CdfReport:
     """Empirical CDF of the forward-recurrence time W_t on the grid, by the
     void identity P(W_t <= x) = P(N(t, t + x] >= 1).
 
     Per row, the grid values x with (t, t + x] empty are a prefix of the
-    grid; the CDF at index j is the fraction of rows whose prefix is at
-    most j long.  Each block reads one delayed block on (0, t + pad + guard]
-    from its substream 0, with pad = max(x_grid[-1], 1) + 10 E X: the pad
-    is only the stream layout of the pinned ``cdf.csv`` and criterion 4,
-    and dropping it changes them.  With no ``target``, a Bartlett-Lewis
-    spec gets its closed-form limit.
+    grid; a block holds its length, one integer per row, and the CDF at j
+    is the fraction of rows whose prefix is at most j long.  Each block
+    reads one delayed block on (0, t + pad + guard] from its substream 0,
+    with pad = max(x_grid[-1], 1) + 10 E X: the pad is only the stream
+    layout of the pinned ``cdf.csv`` and criterion 4, and dropping it
+    changes them.  The target is the Bartlett-Lewis limit, or None.
     """
     if t < 0:
         raise ValueError("need t >= 0")
@@ -241,16 +240,23 @@ def estimate_forward_recurrence_cdf(
 
     def rows_of(stream, rows):
         blk = delayed_block(spec, rows, t_max, stream.substream(0).generator())
-        return np.count_nonzero(blk.grid_counts(t, t + x_grid) == 0, axis=1)
+        return _empty_prefix(blk, t, t + x_grid)
 
     block = block_size(spec, t_max)
     k = replicate(rows_of, n_rep, rng, block)
     values = np.cumsum(np.bincount(k, minlength=x_grid.size + 1)[:x_grid.size]) / n_rep
     half = DEFAULT_Z * np.sqrt(np.maximum(values * (1.0 - values), 0.0) / n_rep)
-    if target is None and (params := _bartlett_lewis_params(spec)) is not None:
-        target = bartlett_lewis_recurrence_cdf(*params, x_grid)
-    tgt = None if target is None else np.asarray(target, dtype=np.float64)
-    return CdfReport(x_grid, values, half, n_rep, tgt, rng.seed, block)
+    params = _bartlett_lewis_params(spec)
+    target = None if params is None else bartlett_lewis_recurrence_cdf(*params, x_grid)
+    return CdfReport(x_grid, values, half, n_rep, target, rng.seed, block)
+
+
+def _empty_prefix(blk, t, ends) -> np.ndarray:
+    """Per row: how many of the sorted window ends u have (t, u] empty, the
+    ``Block.grid_counts`` cell of the row's first point after t."""
+    first = np.min([_segment_reduce(np.minimum, np.where(p > t, p, np.inf), s, np.inf)
+                    for p, s in blk.sources], axis=0)
+    return np.searchsorted(ends, first)
 
 
 def bartlett_lewis_void_probability(

@@ -112,9 +112,8 @@ class Block:
     order, with their gaps and cluster sizes; ``offsets`` holds the
     clusters' offsets in arrival order, and row r's cluster points are
     ``points[point_starts[r]:point_starts[r + 1]]``.  When the spec
-    includes parents, the epochs count as points too.  Estimators read a
-    block through its counts alone: ``window_counts`` for one window and
-    ``grid_counts`` for nested ones.
+    includes parents, the epochs count as points too.  Estimators read
+    ``window_counts``, ``grid_counts`` and, for the recurrence CDF, ``sources``.
     """
 
     def __init__(self, starts, epochs, gaps, sizes, offsets, include_parents):

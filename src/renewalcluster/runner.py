@@ -193,8 +193,7 @@ def _finite(s: str) -> float:
 def _fraction(closed: bool):
     """Parser of a verdict's level: a float in (0, 1), or (0, 1] when ``closed``."""
     def parse(s: str) -> float:
-        x = _finite(s)
-        if not (0.0 < x < 1.0 or (closed and x == 1.0)):
+        if not (0.0 < (x := _finite(s)) < 1.0 or (closed and x == 1.0)):
             raise ValueError(f"must lie in (0, 1{']' if closed else ')'}")
         return x
     return parse
@@ -251,9 +250,7 @@ KINDS = {
     "key_renewal": _reported({"t": _finite, "g": _pieces}, estimate_key_renewal),
     "coupling": Kind(
         {"epsilon": _finite, "steps_cap": (int, 10**7), "k_checks": (int, 100),
-         "min_finite": (_fraction(True), 0.99)},
-        ("coupling.csv",),
-        _coupling,
+         "min_finite": (_fraction(True), 0.99)}, ("coupling.csv",), _coupling,
     ),
     "stationarity_check": Kind(
         {"shifts": _shifts, "x": (_finite, 1.0), "alpha": (_finite, 0.01)},

@@ -101,9 +101,9 @@ class TestAcceptance:
             1.0, 1.0, lambda y: np.exp(-y), grid
         )
         rep = estimate_forward_recurrence_cdf(
-            BL_SPEC, 200.0, grid, 100_000, stream_for(0, "acceptance-recurrence"),
-            target=target,
+            BL_SPEC, 200.0, grid, 100_000, stream_for(0, "acceptance-recurrence")
         )
+        assert rep.target == pytest.approx(target, abs=1e-12)
         gap = rep.max_target_gap
         ok = gap < 0.01
         _verdict(4, f"max CDF discrepancy {gap:.5f} < 0.01 over 20-point grid", ok)

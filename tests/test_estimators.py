@@ -154,10 +154,10 @@ class TestForwardRecurrenceCdf:
         target = sum(w * (1.0 - np.exp(-r * grid)) / r for w, r in comps) / mu
         n_rep = 2000
         rep = estimate_forward_recurrence_cdf(
-            spec, 20_000.0, grid, n_rep, stream_for(2026, "heavy-recurrence"), target=target
+            spec, 20_000.0, grid, n_rep, stream_for(2026, "heavy-recurrence")
         )
         # DKW-Massart simultaneous band at alpha = 1e-3
-        assert rep.max_target_gap <= np.sqrt(np.log(2.0 / 1e-3) / (2 * n_rep))
+        assert np.max(np.abs(rep.values - target)) <= np.sqrt(np.log(2.0 / 1e-3) / (2 * n_rep))
 
     HEAVY = ProcessSpec(Mixture(((0.99, Exponential(10.0)), (0.01, Exponential(0.001)))),
                         EmptyCluster(), include_parents=True)
@@ -213,15 +213,12 @@ class TestForwardRecurrenceCdf:
         assert np.array_equal(rep.values, np.array(counts) / n_rep)
         assert np.array_equal(rep.half_widths, half)
 
-    def test_bartlett_lewis_target_attached_unless_given(self):
+    def test_bartlett_lewis_target_attached(self):
         grid = np.array([0.0, 1.0, 2.5])
         rng = stream_for(7, "recurrence-target")
         own = estimate_forward_recurrence_cdf(BL_SPEC, 20.0, grid, 50, rng)
         expected = bartlett_lewis_recurrence_cdf(1.0, 1.0, lambda y: np.exp(-y), grid)
         assert own.target == pytest.approx(expected, abs=1e-12)
-        given = estimate_forward_recurrence_cdf(BL_SPEC, 20.0, grid, 50, rng, target=grid)
-        assert np.array_equal(given.target, grid)
-        assert np.array_equal(given.values, own.values)
         assert estimate_forward_recurrence_cdf(self.HEAVY, 20.0, grid, 50, rng).target is None
 
 

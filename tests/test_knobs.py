@@ -23,8 +23,6 @@ ALLOWED = {
     "coupling.run_coupling(start_override)": "test seam: fixes both starting epochs",
     "coupling.post_coupling_agreement(start_override)": "test seam: fixes both starting epochs",
     "coupling.random_walk_path(start_override)": "test seam: fixes both starting epochs",
-    "estimators.estimate_forward_recurrence_cdf(target)":
-        "the limit of a spec outside the Bartlett-Lewis model, which src/ has no closed form for",
 }
 
 

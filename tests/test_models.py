@@ -22,7 +22,7 @@ from renewalcluster import (
     two_sample_ks,
 )
 from renewalcluster.errors import RunawayGenerationError
-from renewalcluster.estimators import replicate
+from renewalcluster.estimators import _empty_prefix, replicate
 from renewalcluster.process import delayed_block
 from renewalcluster.stationary import stationary_block
 
@@ -314,10 +314,10 @@ class TestBlockBookkeeping:
         return not (
             got_count[r] == count
             and got_overflow[r] == pts.size - count
-            # the first point after T lies in (T, T + x] exactly where
-            # that window's count is positive
-            and np.array_equal(blk.grid_counts(self.T, self.T + self.X)[r] > 0,
-                               first <= self.T + self.X)
+            # the recurrence estimator's row: the windows (T, T + x] that
+            # are empty, which are those ending before the first point
+            and _empty_prefix(blk, self.T, self.T + self.X)[r]
+            == np.count_nonzero(first > self.T + self.X)
             and np.array_equal(blk.grid_counts(self.GRID_LO, self.GRID)[r], grid)
         )
 
