@@ -22,8 +22,9 @@ The layout is fixed; only the reading is lazy.  ``_SharedSteps`` hands the
 steps out in chunks and materializes only those the walk reads: a
 Uniform law takes one word per gap, so the first block's gaps are drawn
 as read and its sign words come from a second Philox placed a block
-ahead (the stream is counter-based); other laws draw the block's gaps at
-once and read the sign words as needed.  Walks, paths and the draws left
+ahead (the stream is counter-based, so ``streams._philox`` builds it from
+key and counter alone); other laws draw the block's gaps at once and read
+the sign words as needed.  Walks, paths and the draws left
 after tau are bit-identical to those of the earlier kernels that drew
 whole blocks (tests/data/walk_parity.json, walk_parity_laws.json).
 
@@ -42,6 +43,8 @@ draw, held in O(n_rep + chunk) words.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +54,7 @@ from .patterns import csv_text
 from .process import ProcessSpec
 from .stationary import _size_biased_gaps
 from .stats import KsReport, two_sample_ks
-from .streams import RngStream
+from .streams import RngStream, _philox
 
 __all__ = [
     "CouplingRun",
@@ -65,9 +68,10 @@ __all__ = [
 
 _BLOCK = 1 << 14
 # The walk's first chunk, near the median tau of criterion 8's walks
-# (1040 steps).  A chunk costs about 20 us of numpy calls besides its
-# draws; a pair of such walks costs least, in the mean and the median,
-# with 1024 among 256 to 2048.
+# (1040 steps).  A chunk costs about 9 us of numpy calls besides its
+# draws (2 cores, numpy 2.4.6); among 256 to 2048, a walk and its
+# agreement cost least in the mean with 1024 or 2048, and in the median
+# with 2048 (4% below 1024).
 _FIRST_CHUNK = 1024
 _DENSE_PATH = 10_000
 _SIGN = np.uint64(1 << 63)
@@ -134,8 +138,10 @@ def _signed_gaps(law, g, n):
     x, -x)``.
     """
     x = np.asarray(law.sample(g, n), dtype=np.float64)
+    w = g.bit_generator.random_raw(n)
+    w &= _SIGN
     bits = x.view(np.uint64)
-    bits ^= g.bit_generator.random_raw(n) & _SIGN
+    bits ^= w
     return x
 
 
@@ -149,7 +155,7 @@ def _ahead(g, words):
     state = g.bit_generator.state
     counter = int.from_bytes(state["state"]["counter"].astype("<u8").tobytes(), "little")
     w = 4 * (counter - 1) + state["buffer_pos"] + words
-    h = np.random.Philox(counter=w // 4, key=state["state"]["key"])
+    h = _philox(state["state"]["key"], w // 4)
     h.random_raw(w % 4)
     return np.random.Generator(h)
 
@@ -186,8 +192,10 @@ class _SharedSteps:
             x = self.block[self.drawn : b]
             if self.lazy:
                 x[:] = self.law.sample(self.g, x.size)
+            w = self.signs.bit_generator.random_raw(x.size)
+            w &= _SIGN
             bits = x.view(np.uint64)
-            bits ^= self.signs.bit_generator.random_raw(x.size) & _SIGN
+            bits ^= w
             self.drawn = b
             if b == self.size:
                 self.g = self.signs
@@ -233,15 +241,22 @@ def _draw_starts(spec, g, start_override):
 
 def _walk_key(epsilon, steps_cap, rng, start_override):
     """The arguments besides the spec that fix a walk (the spec is matched
-    by identity), after checking epsilon > 0 and steps_cap >= 1.
-    ``start_override`` becomes two floats, as ``_draw_starts`` reads it; a
-    numpy array would make ``==`` ambiguous."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+    by identity), after checking that epsilon is positive and finite,
+    steps_cap an integer >= 1 and both starts finite.  ``start_override``
+    becomes two floats, as ``_draw_starts`` reads it; a numpy array would
+    make ``==`` ambiguous."""
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    try:
+        steps_cap = operator.index(steps_cap)
+    except TypeError:
+        raise ValueError(f"steps_cap must be an integer, got {steps_cap!r}") from None
     if steps_cap < 1:
         raise ValueError("steps_cap must be >= 1")
     if start_override is not None:
         start_override = (float(start_override[0]), float(start_override[1]))
+        if not all(map(math.isfinite, start_override)):
+            raise ValueError(f"start_override must be finite, got {start_override}")
     return epsilon, steps_cap, rng, start_override
 
 
@@ -275,11 +290,11 @@ def _walk(spec, epsilon, steps_cap, g, t0, t_delayed):
         n = x.size
         at = steps.read - n  # where the chunk starts in its block
         if at == 0:
-            vs = np.cumsum(x)
+            vs = x.cumsum()
         else:
             vs = x.copy()
             vs[0] += c
-            np.cumsum(vs, out=vs)
+            vs.cumsum(out=vs)
         c = vs[-1]
         vs += v
         inside = (vs >= 0.0) & (vs < epsilon)
@@ -287,9 +302,13 @@ def _walk(spec, epsilon, steps_cap, g, t0, t_delayed):
         hit = bool(inside[stop])
         if not hit:
             stop = n - 1
-        idx = _kept_indices(done + 1, done + stop + 1)
-        path.append(vs[idx - (done + 1)])
-        path_idx.append(idx)
+        if done + stop < _DENSE_PATH:
+            path.append(vs[: stop + 1])
+            path_idx.append(np.arange(done + 1, done + stop + 2))
+        else:
+            idx = _kept_indices(done + 1, done + stop + 1)
+            path.append(vs[idx - (done + 1)])
+            path_idx.append(idx)
         if hit or steps.read == steps.size:
             # |gap| sum and minus count per block, up to tau in the last one
             head = steps.block[: at + stop + 1]
@@ -383,18 +402,19 @@ def post_coupling_agreement(
     if tau is None:
         return AgreementReport(epsilon, None, k_checks, (), None, capped=True)
 
-    # shared +1-signed gaps continuing past tau
-    ys = [np.empty(0)]
-    need = k_checks
-    while need:
-        x = steps.take(3 * need)  # about half the steps are +1
-        ys.append(x[~np.signbit(x)][:need])
-        need -= ys[-1].size
-    ys = np.concatenate(ys)
-    # np.cumsum adds in sequence, as the arrivals do one by one
-    stationary_epochs = np.cumsum(np.concatenate(([t0 + sum_plus], ys)))
-    delayed_epochs = np.cumsum(np.concatenate(([t_delayed + sum_minus], ys)))
-    gaps = stationary_epochs - delayed_epochs
+    # rows: the stationary and delayed epochs at tau, then the shared
+    # +1-signed gaps continuing past it
+    epochs = np.empty((2, k_checks + 1))
+    epochs[:, 0] = t0 + sum_plus, t_delayed + sum_minus
+    got = 0
+    while got < k_checks:
+        x = steps.take(3 * (k_checks - got))  # about half the steps are +1
+        y = x[~np.signbit(x)][: k_checks - got]
+        epochs[:, 1 + got : 1 + got + y.size] = y
+        got += y.size
+    # cumsum adds along each row in sequence, as the arrivals do one by one
+    epochs.cumsum(axis=1, out=epochs)
+    gaps = epochs[0] - epochs[1]
     violations = tuple(np.flatnonzero(~((gaps >= 0.0) & (gaps < epsilon))).tolist())
     return AgreementReport(epsilon, tau, k_checks, violations, float(gaps.max()), capped=False)
 
@@ -412,6 +432,8 @@ def random_walk_path(
     whose V_i it gives exactly; a larger n, or a larger cap, splits the
     walk into blocks of 2^14 and its path differs from step 1 on.
     """
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     g = rng.generator()
     t0, t_delayed = _draw_starts(spec, g, start_override)
     steps = _signed_gaps(spec.interarrival, g, n_steps)

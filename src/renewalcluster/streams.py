@@ -9,6 +9,7 @@ and run in any order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -30,16 +31,41 @@ def _mix64(a: int, b: int) -> int:
     return x
 
 
+class _Key(tuple):
+    """Two 64-bit Philox key words as the bit generator's seed sequence,
+    which reads its key as ``generate_state(2, np.uint64)``."""
+
+    def generate_state(self, n_words, dtype):
+        return self
+
+
+@functools.cache
+def _register_key():
+    # on first use, so that importing this module does not import numpy.random
+    from numpy.random.bit_generator import ISeedSequence
+
+    ISeedSequence.register(_Key)
+
+
+def _philox(key, counter):
+    """``np.random.Philox(counter=counter, key=key)``, word for word.
+
+    Philox is counter-based, so key and counter fix every word; with the key
+    as its seed sequence no ``SeedSequence`` is built, which would read OS
+    entropy for nothing and triple the cost.
+    """
+    _register_key()
+    return np.random.Philox(_Key(key), counter=counter)
+
+
 @dataclass(frozen=True)
 class RngStream:
     seed: int
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = np.array(
-            [self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64
-        )
-        return np.random.Generator(np.random.Philox(key=key))
+        key = self.seed & _MASK64, self.stream_id & _MASK64
+        return np.random.Generator(_philox(key, 0))
 
     def substream(self, index: int) -> "RngStream":
         """Independent child stream; substream(i) == substream(i) always."""

@@ -43,6 +43,11 @@ class TestRunCoupling:
         assert run.coupling_time == pytest.approx(1.25)
         assert not run.capped
 
+    def test_numpy_integer_cap_accepted(self):
+        spec = gated_cluster_preset()
+        run = run_coupling(spec, 0.1, np.int64(1000), RngStream(98), start_override=(1.0, 1.0))
+        assert run.tau == 0 and run.steps_cap == 1000
+
     def test_hit_is_inside_band(self):
         spec = gated_cluster_preset()
         run = run_coupling(spec, 0.1, 10**6, RngStream(92))
@@ -91,6 +96,37 @@ class TestRunCoupling:
         lines = text.strip().splitlines()
         assert lines[0] == "epsilon,tau,coupling_time,capped"
         assert len(lines) == 4
+
+
+class TestWalkInputs:
+    """Arguments no walk can take are ValueErrors raised before any draw."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def generator(self):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(RngStream, "generator", generator)
+
+    @pytest.mark.parametrize("eps, cap, start", [
+        (0.1, 1e3, None),
+        (0.1, 1000.0, None),
+        (float("inf"), 1000, None),
+        (0.1, 1000, (float("nan"), 0.0)),
+        (0.1, 1000, (0.0, float("inf"))),
+        (0.1, 1000, np.array([1.0, -np.inf])),
+    ], ids=["cap-1e3", "cap-float", "eps-inf", "start-nan", "start-inf", "start-array-inf"])
+    def test_walk_rejects(self, eps, cap, start):
+        spec = gated_cluster_preset()
+        with pytest.raises(ValueError):
+            run_coupling(spec, eps, cap, RngStream(98), start_override=start)
+        with pytest.raises(ValueError):
+            post_coupling_agreement(spec, eps, 10, RngStream(98), steps_cap=cap,
+                                    start_override=start)
+
+    def test_path_rejects_negative_steps(self):
+        with pytest.raises(ValueError):
+            random_walk_path(gated_cluster_preset(), -1, RngStream(98))
 
 
 class TestWalkDiagnostics:

@@ -1,6 +1,8 @@
 """Tests for the statistical harness, configuration parsing, the
 experiment runner, and the command-line interface."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,17 @@ class TestKs:
             two_sample_ks([0.0, 1.0], [0.5], alpha)
 
 
+MASK64 = (1 << 64) - 1
+KEY_WORDS = [0, 1, 2**63, 2**64 - 1, -1]
+
+
+def philox_state(bit_generator):
+    """Every field of a Philox state, as plain lists and ints."""
+    s = bit_generator.state
+    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(), s["buffer"].tolist(),
+            s["buffer_pos"], s["has_uint32"], s["uinteger"])
+
+
 class TestStreams:
     def test_streams_independent(self):
         a = RngStream(7, 0).generator().random(1000)
@@ -85,6 +98,25 @@ class TestStreams:
         b = stream_for(0, "beta")
         assert a != b
         assert stream_for(0, "alpha") == a
+
+    @pytest.mark.parametrize("seed", KEY_WORDS)
+    @pytest.mark.parametrize("stream_id", KEY_WORDS)
+    def test_generator_is_the_keyed_philox(self, seed, stream_id):
+        """A generator is ``Philox(key=[seed, stream_id])`` modulo 2^64,
+        word for word, whatever builds it."""
+        key = np.array([seed & MASK64, stream_id & MASK64], dtype=np.uint64)
+        g = RngStream(seed, stream_id).generator()
+        want = np.random.Philox(key=key)
+        assert philox_state(g.bit_generator) == philox_state(want)
+        assert np.array_equal(g.bit_generator.random_raw(9), want.random_raw(9))
+        ref = np.random.Generator(np.random.Philox(key=key))
+        assert RngStream(seed, stream_id).generator().random() == ref.random()
+
+    def test_generator_pickles(self):
+        g = RngStream(7, 3).generator()
+        g.random(5)
+        h = pickle.loads(pickle.dumps(g))
+        assert np.array_equal(h.bit_generator.random_raw(6), g.bit_generator.random_raw(6))
 
 
 GATED_CONFIG = """

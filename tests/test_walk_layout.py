@@ -168,6 +168,42 @@ def test_ahead_reads_the_straight_stream(base, buffer_pos):
         assert np.array_equal(g.bit_generator.random_raw(2), ref[nxt : nxt + 2])
 
 
+def _philox_ahead(g, words):
+    """_ahead's bit generator built as ``Philox(counter=, key=)``, the
+    constructor that makes (and drops) a SeedSequence."""
+    state = g.bit_generator.state
+    counter = int.from_bytes(state["state"]["counter"].astype("<u8").tobytes(), "little")
+    w = 4 * (counter - 1) + state["buffer_pos"] + words
+    h = np.random.Philox(counter=w // 4, key=state["state"]["key"])
+    h.random_raw(w % 4)
+    return h
+
+
+def _fields(bit_generator):
+    s = bit_generator.state
+    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(), s["buffer"].tolist(),
+            s["buffer_pos"], s["has_uint32"], s["uinteger"])
+
+
+@pytest.mark.parametrize("counter", [[1, 0, 0, 0], [2**64 - 1, 0, 0, 0], [2**64 - 1, 5, 0, 0]],
+                         ids=["counter1", "carry", "carry-high"])
+@pytest.mark.parametrize("buffer_pos", [0, 1, 2, 3])
+@pytest.mark.parametrize("words", [0, 1, 3, 2**14])
+def test_ahead_state_equals_the_philox_constructor(counter, buffer_pos, words):
+    """_ahead(g, w) is, field for field, the bit generator that
+    ``Philox(counter=, key=)`` places w words ahead; a low counter word of
+    2^64 - 1 carries into the next word."""
+    g = np.random.Generator(np.random.Philox(key=KEY))
+    state = g.bit_generator.state
+    state["state"]["counter"] = np.array(counter, dtype=np.uint64)
+    state["buffer_pos"] = buffer_pos
+    g.bit_generator.state = state
+    h = _ahead(g, words).bit_generator
+    want = _philox_ahead(g, words)
+    assert _fields(h) == _fields(want)
+    assert np.array_equal(h.random_raw(9), want.random_raw(9))
+
+
 @pytest.mark.parametrize("n", [1, 3, 256, 1000])
 def test_uniform_takes_one_word_per_variate_and_is_prefix_consistent(n):
     """The lazy first block rests on both; a numpy stream change that broke
