@@ -30,10 +30,11 @@ whole blocks (tests/data/walk_parity.json, walk_parity_laws.json).
 
 Each walk is walked once.  ``run_coupling`` leaves the finished walk, its
 reader positioned just past tau, in a one-shot module-private slot keyed
-by its arguments (spec, epsilon, steps_cap, rng, start_override).  The
-next ``post_coupling_agreement`` clears the slot and, when the key
-matches, reads on from that reader, the one a fresh walk would rebuild,
-so its report equals that of a fresh walk bit for bit.
+by its arguments (spec, epsilon, steps_cap, rng).  ``_walked``, the one
+entry of ``run_coupling`` and ``post_coupling_agreement``, clears the slot
+and, when the key matches, takes that walk, the one a fresh walk would
+rebuild: a repeated ``run_coupling`` returns it again, and an agreement
+reads on from its reader, so each equals a fresh walk's bit for bit.
 
 ``rademacher_flip_test`` reads its n_rep x n signs row-major, one raw word
 each, +1 when the top bit is clear, in chunks of at most ``_FLIP_WORDS``
@@ -77,9 +78,9 @@ _DENSE_PATH = 10_000
 _SIGN = np.uint64(1 << 63)
 # The flip test's chunk: 0.5 MB per uint64 array.
 _FLIP_WORDS = 1 << 16
-# The walk handoff: "walk" -> (key, spec, (t0, t_delayed, tau, sum_plus,
-# sum_minus, reader)) of the last run_coupling.  A reader can be read on
-# only once, so every post_coupling_agreement pops it (an atomic take).
+# The walk handoff: "walk" -> the (spec, key, run, epochs, reader) of the
+# last run_coupling.  A reader can be read on only once, so every _walked
+# pops it (an atomic take).
 _handoff = {}
 
 
@@ -228,9 +229,7 @@ def _kept_indices(a, b):
     return np.concatenate(parts)
 
 
-def _draw_starts(spec, g, start_override):
-    if start_override is not None:
-        return float(start_override[0]), float(start_override[1])
+def _draw_starts(spec, g):
     law = spec.interarrival
     x_star = float(_size_biased_gaps(law, 1, g)[0])
     u = g.random()
@@ -239,53 +238,46 @@ def _draw_starts(spec, g, start_override):
     return t0, t_delayed
 
 
-def _walk_key(epsilon, steps_cap, rng, start_override):
-    """The arguments besides the spec that fix a walk (the spec is matched
-    by identity), after checking that epsilon is positive and finite,
-    steps_cap an integer >= 1 and both starts finite.  ``start_override``
-    becomes two floats, as ``_draw_starts`` reads it; a numpy array would
-    make ``==`` ambiguous."""
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+def _count(name, n, least):
+    """n as an int >= least; ValueError for anything else, a float included."""
     try:
-        steps_cap = operator.index(steps_cap)
+        n = operator.index(n)
     except TypeError:
-        raise ValueError(f"steps_cap must be an integer, got {steps_cap!r}") from None
-    if steps_cap < 1:
-        raise ValueError("steps_cap must be >= 1")
-    if start_override is not None:
-        start_override = (float(start_override[0]), float(start_override[1]))
-        if not all(map(math.isfinite, start_override)):
-            raise ValueError(f"start_override must be finite, got {start_override}")
-    return epsilon, steps_cap, rng, start_override
+        raise ValueError(f"{name} must be an integer, got {n!r}") from None
+    if n < least:
+        raise ValueError(f"{name} must be >= {least}, got {n}")
+    return n
 
 
-def _walk(spec, epsilon, steps_cap, g, t0, t_delayed):
-    """Run the shared walk until it enters [0, epsilon) or the cap.
+def _walk(spec, epsilon, steps_cap, g):
+    """Draw the starting epochs from g, then run the shared walk until it
+    enters [0, epsilon) or the cap.
 
-    Returns (tau, v_tau, plus_count, sum_plus, sum_minus, path, path_idx,
-    steps) where steps is the walk's ``_SharedSteps``, positioned just past
-    tau: the draws after it are part of the shared sequence and feed the
-    post-coupling reconstruction.
+    Returns (run, epochs, steps): the ``CouplingRun``, the stationary and
+    delayed epochs at tau (None when capped), and the walk's
+    ``_SharedSteps``, positioned just past tau: the draws after it are
+    part of the shared sequence and feed the post-coupling reconstruction.
 
     Chunks grow with the steps done (1024, 1024, 2048, ... up to a
     block), so they tile each block.  Partial sums restart at every block and run
     on sequentially inside it, so V_i and the |gap| sums match a kernel
     that summed whole blocks, bit for bit.
     """
-    law = spec.interarrival
+    t0, t_delayed = _draw_starts(spec, g)
     v0 = t0 - t_delayed
     path = [np.array([v0])]
     path_idx = [np.array([0])]
+    steps = _SharedSteps(spec.interarrival, g, steps_cap)
+    tau = None
     if 0.0 <= v0 < epsilon:
-        return 0, v0, 0, 0.0, 0.0, path, path_idx, _SharedSteps(law, g, 0)
-    steps = _SharedSteps(law, g, steps_cap)
+        tau = 0
+        steps.end_walk(0)
     v = v0  # V at the start of the current block
     c = 0.0  # partial sum of the current block so far
     done = 0
     total = 0.0
     minus = 0
-    while done < steps_cap:
+    while tau is None and done < steps_cap:
         x = steps.take(min(max(_FIRST_CHUNK, done), steps_cap - done))
         n = x.size
         at = steps.read - n  # where the chunk starts in its block
@@ -318,20 +310,41 @@ def _walk(spec, epsilon, steps_cap, g, t0, t_delayed):
         if hit:
             steps.end_walk(at + stop + 1)
             tau = done + stop + 1
-            # plus and minus sums from the total |gap| and V_tau - V_0
-            d = v - v0
-            sums = (total + d) / 2, (total - d) / 2
-            return tau, v, tau - minus, *sums, path, path_idx, steps
         done += n
-    return None, None, None, None, None, path, path_idx, steps
+    epochs = None
+    if tau is not None:
+        # plus and minus sums from the total |gap| and V_tau - V_0
+        d = v - v0
+        epochs = t0 + (total + d) / 2, t_delayed + (total - d) / 2
+    run = CouplingRun(
+        epsilon=epsilon,
+        steps_cap=steps_cap,
+        tau=tau,
+        v_tau=None if tau is None else v,
+        l_tau=None if tau is None else tau - minus,
+        l_tau_delayed=None if tau is None else minus,
+        coupling_time=None if tau is None else max(epochs),
+        start_stationary=t0,
+        start_delayed=t_delayed,
+        v_path=np.concatenate(path),
+        v_path_indices=np.concatenate(path_idx),
+    )
+    return run, epochs, steps
 
 
-def _fresh_walk(spec, epsilon, steps_cap, rng, start_override):
-    """(t0, t_delayed, *_walk(...)): the starting epochs drawn from a new
-    generator of rng, and the walk from them on the same generator."""
-    g = rng.generator()
-    t0, t_delayed = _draw_starts(spec, g, start_override)
-    return t0, t_delayed, *_walk(spec, epsilon, steps_cap, g, t0, t_delayed)
+def _walked(spec, epsilon, steps_cap, rng):
+    """(spec, key, run, epochs, steps) of the walk these arguments fix, after
+    checking that epsilon is positive and finite and steps_cap an integer
+    >= 1: the walk the last ``run_coupling`` left in the slot when it had
+    the same spec object and the same key (epsilon, steps_cap, rng), else
+    ``_walk`` on a new generator of rng.  Either way the slot is emptied."""
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+    key = epsilon, _count("steps_cap", steps_cap, 1), rng
+    slot = _handoff.pop("walk", None)
+    if slot is not None and slot[0] is spec and slot[1] == key:
+        return slot
+    return spec, key, *_walk(spec, epsilon, key[1], rng.generator())
 
 
 def run_coupling(
@@ -339,31 +352,14 @@ def run_coupling(
     epsilon: float,
     steps_cap: int,
     rng: RngStream,
-    start_override: tuple | None = None,
 ) -> CouplingRun:
     """Couple the stationary and delayed processes on one stream.
 
-    ``start_override`` substitutes the two initial epochs (stationary,
-    delayed); with equal values the walk starts at 0 and tau = 0.
+    A repeated call with the same arguments, and the same spec object,
+    returns the run the last call left behind instead of walking again.
     """
-    key = _walk_key(epsilon, steps_cap, rng, start_override)
-    t0, t_delayed, tau, v_tau, plus_count, sum_plus, sum_minus, path, path_idx, steps = (
-        _fresh_walk(spec, epsilon, steps_cap, rng, start_override))
-    _handoff["walk"] = key, spec, (t0, t_delayed, tau, sum_plus, sum_minus, steps)
-    coupled = tau is not None
-    return CouplingRun(
-        epsilon=epsilon,
-        steps_cap=steps_cap,
-        tau=tau,
-        v_tau=v_tau,
-        l_tau=plus_count,
-        l_tau_delayed=tau - plus_count if coupled else None,
-        coupling_time=max(t0 + sum_plus, t_delayed + sum_minus) if coupled else None,
-        start_stationary=t0,
-        start_delayed=t_delayed,
-        v_path=np.concatenate(path),
-        v_path_indices=np.concatenate(path_idx),
-    )
+    _handoff["walk"] = walk = _walked(spec, epsilon, steps_cap, rng)
+    return walk[2]
 
 
 def post_coupling_agreement(
@@ -372,7 +368,6 @@ def post_coupling_agreement(
     k_checks: int,
     rng: RngStream,
     steps_cap: int = 10**7,
-    start_override: tuple | None = None,
 ) -> AgreementReport:
     """Verify that after the coupling step the matched arrivals of the two
     processes stay within [0, epsilon) with identical marks.
@@ -383,48 +378,37 @@ def post_coupling_agreement(
     exact by construction; the epoch gap is checked numerically.
 
     Every call whose arguments pass the checks (``run_coupling``'s, and
-    k_checks >= 0) takes and clears the walk ``run_coupling`` left behind.
-    When that run had the same spec (the same object), epsilon,
-    steps_cap, rng and start_override (compared as two floats), the
-    continuation is read from its reader, positioned past tau, instead of
-    walking again; otherwise the walk is walked here.
-    Either way the report equals that of a fresh walk, bit for bit.
+    k_checks an integer >= 0) takes and clears the walk ``run_coupling``
+    left behind.  When that run had the same spec (the same object),
+    epsilon, steps_cap and rng, the continuation is read from its reader,
+    positioned past tau, instead of walking again; otherwise the walk is
+    walked here.  Either way the report equals that of a fresh walk, bit
+    for bit.
     """
-    if k_checks < 0:
-        raise ValueError("k_checks must be >= 0")
-    key = _walk_key(epsilon, steps_cap, rng, start_override)
-    slot = _handoff.pop("walk", None)
-    if slot is not None and slot[1] is spec and slot[0] == key:
-        t0, t_delayed, tau, sum_plus, sum_minus, steps = slot[2]
-    else:
-        t0, t_delayed, tau, _, _, sum_plus, sum_minus, _, _, steps = _fresh_walk(
-            spec, epsilon, steps_cap, rng, start_override)
-    if tau is None:
+    k_checks = _count("k_checks", k_checks, 0)
+    *_, run, epochs, steps = _walked(spec, epsilon, steps_cap, rng)
+    if run.capped:
         return AgreementReport(epsilon, None, k_checks, (), None, capped=True)
 
     # rows: the stationary and delayed epochs at tau, then the shared
     # +1-signed gaps continuing past it
-    epochs = np.empty((2, k_checks + 1))
-    epochs[:, 0] = t0 + sum_plus, t_delayed + sum_minus
+    rows = np.empty((2, k_checks + 1))
+    rows[:, 0] = epochs
     got = 0
     while got < k_checks:
         x = steps.take(3 * (k_checks - got))  # about half the steps are +1
         y = x[~np.signbit(x)][: k_checks - got]
-        epochs[:, 1 + got : 1 + got + y.size] = y
+        rows[:, 1 + got : 1 + got + y.size] = y
         got += y.size
     # cumsum adds along each row in sequence, as the arrivals do one by one
-    epochs.cumsum(axis=1, out=epochs)
-    gaps = epochs[0] - epochs[1]
+    rows.cumsum(axis=1, out=rows)
+    gaps = rows[0] - rows[1]
     violations = tuple(np.flatnonzero(~((gaps >= 0.0) & (gaps < epsilon))).tolist())
-    return AgreementReport(epsilon, tau, k_checks, violations, float(gaps.max()), capped=False)
+    return AgreementReport(epsilon, run.tau, k_checks, violations, float(gaps.max()),
+                           capped=False)
 
 
-def random_walk_path(
-    spec: ProcessSpec,
-    n_steps: int,
-    rng: RngStream,
-    start_override: tuple | None = None,
-) -> np.ndarray:
+def random_walk_path(spec: ProcessSpec, n_steps: int, rng: RngStream) -> np.ndarray:
     """Dense walk path V_0..V_n for diagnostics (no stopping).
 
     It draws n gaps, then n sign words, in one block.  For n <= 2^14 that
@@ -432,10 +416,9 @@ def random_walk_path(
     whose V_i it gives exactly; a larger n, or a larger cap, splits the
     walk into blocks of 2^14 and its path differs from step 1 on.
     """
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
+    n_steps = _count("n_steps", n_steps, 0)
     g = rng.generator()
-    t0, t_delayed = _draw_starts(spec, g, start_override)
+    t0, t_delayed = _draw_starts(spec, g)
     steps = _signed_gaps(spec.interarrival, g, n_steps)
     return (t0 - t_delayed) + np.concatenate(([0.0], np.cumsum(steps)))
 

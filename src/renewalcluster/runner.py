@@ -253,12 +253,12 @@ KINDS = {
          "min_finite": (_fraction(True), 0.99)}, ("coupling.csv",), _coupling,
     ),
     "stationarity_check": Kind(
-        {"shifts": _shifts, "x": (_finite, 1.0), "alpha": (_finite, 0.01)},
+        {"shifts": _shifts, "x": (_finite, 1.0), "alpha": (_fraction(False), 0.01)},
         ("stationarity.csv",),
         _stationarity_check,
     ),
     "flip_test": Kind(
-        {"n": int, "ones_needed": (int, 2), "alpha": (_finite, 0.01)}, ("flip.csv",), _flip_test,
-        needs_spec=False,
+        {"n": int, "ones_needed": (int, 2), "alpha": (_fraction(False), 0.01)}, ("flip.csv",),
+        _flip_test, needs_spec=False,
     ),
 }

@@ -100,6 +100,8 @@ def stationary_block(spec, rows, window_lo, window_hi, g):
     Each row keeps the arrivals at -(1 - U) X* and U X*, the left arrivals
     down to window_lo - guard and the right ones up to window_hi + guard.
     """
+    if not window_lo < window_hi:
+        raise ValueError("need window_lo < window_hi")
     guard = guard_band(spec)
     x_star = _size_biased_gaps(spec.interarrival, rows, g)
     u = g.random(rows)
@@ -142,8 +144,6 @@ def sample_stationary_marked_renewal(
     rng: RngStream,
 ) -> TwoSidedMarkedPattern:
     """Stationary marked renewal process covering (window_lo, window_hi]."""
-    if not window_lo < window_hi:
-        raise ValueError("need window_lo < window_hi")
     blk, origin = stationary_block(spec, 1, window_lo, window_hi, rng.generator())
     lo = float(np.nextafter(blk.epochs[0], -np.inf))
     hi = float(max(blk.epochs[-1], window_hi + guard_band(spec)))
@@ -158,7 +158,5 @@ def sample_stationary_cluster_process(
     rng: RngStream,
 ) -> PointPattern:
     """Stationary renewal cluster process restricted to (window_lo, window_hi]."""
-    if not window_lo < window_hi:
-        raise ValueError("need window_lo < window_hi")
     blk, _ = stationary_block(spec, 1, window_lo, window_hi, rng.generator())
     return window_pattern(blk.all_points(), window_lo, window_hi)

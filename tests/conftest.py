@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from renewalcluster import coupling
+
 
 def _reverse_blocks(fn, n_rep, rng, block):
     """What ``replicate(fn, n_rep, rng, block)`` returns, computed with the
@@ -15,3 +17,15 @@ def _reverse_blocks(fn, n_rep, rng, block):
 @pytest.fixture
 def reverse_blocks():
     return _reverse_blocks
+
+
+@pytest.fixture
+def fix_starts(monkeypatch):
+    """``fix_starts((t0, t_delayed))`` starts every walk from those epochs
+    (stationary, delayed): ``coupling._draw_starts`` returns them without
+    drawing.  ``fix_starts(None)`` keeps the drawn starts."""
+    def fix(start):
+        if start is not None:
+            t0, t_delayed = map(float, start)
+            monkeypatch.setattr(coupling, "_draw_starts", lambda spec, g: (t0, t_delayed))
+    return fix

@@ -34,18 +34,20 @@ from renewalcluster.stats import KsReport
 
 
 class TestRunCoupling:
-    def test_equal_starts_couple_immediately(self):
+    def test_equal_starts_couple_immediately(self, fix_starts):
+        fix_starts((1.25, 1.25))
         spec = gated_cluster_preset()
-        run = run_coupling(spec, 0.1, 1000, RngStream(91), start_override=(1.25, 1.25))
+        run = run_coupling(spec, 0.1, 1000, RngStream(91))
         assert run.tau == 0
         assert run.v_tau == 0.0
         assert run.l_tau == 0 and run.l_tau_delayed == 0
         assert run.coupling_time == pytest.approx(1.25)
         assert not run.capped
 
-    def test_numpy_integer_cap_accepted(self):
+    def test_numpy_integer_cap_accepted(self, fix_starts):
+        fix_starts((1.0, 1.0))
         spec = gated_cluster_preset()
-        run = run_coupling(spec, 0.1, np.int64(1000), RngStream(98), start_override=(1.0, 1.0))
+        run = run_coupling(spec, 0.1, np.int64(1000), RngStream(98))
         assert run.tau == 0 and run.steps_cap == 1000
 
     def test_hit_is_inside_band(self):
@@ -55,9 +57,10 @@ class TestRunCoupling:
         assert 0.0 <= run.v_tau < 0.1
         assert run.l_tau + run.l_tau_delayed == run.tau
 
-    def test_cap_is_tracked_not_fatal(self):
+    def test_cap_is_tracked_not_fatal(self, fix_starts):
+        fix_starts((3.0, 0.0))
         spec = gated_cluster_preset()
-        run = run_coupling(spec, 1e-9, 50, RngStream(93), start_override=(3.0, 0.0))
+        run = run_coupling(spec, 1e-9, 50, RngStream(93))
         assert run.capped
         assert run.tau is None and run.coupling_time is None
 
@@ -108,25 +111,19 @@ class TestWalkInputs:
 
         monkeypatch.setattr(RngStream, "generator", generator)
 
-    @pytest.mark.parametrize("eps, cap, start", [
-        (0.1, 1e3, None),
-        (0.1, 1000.0, None),
-        (float("inf"), 1000, None),
-        (0.1, 1000, (float("nan"), 0.0)),
-        (0.1, 1000, (0.0, float("inf"))),
-        (0.1, 1000, np.array([1.0, -np.inf])),
-    ], ids=["cap-1e3", "cap-float", "eps-inf", "start-nan", "start-inf", "start-array-inf"])
-    def test_walk_rejects(self, eps, cap, start):
+    @pytest.mark.parametrize("eps, cap", [(0.1, 1e3), (0.1, 1000.0), (float("inf"), 1000)],
+                             ids=["cap-1e3", "cap-float", "eps-inf"])
+    def test_walk_rejects(self, eps, cap):
         spec = gated_cluster_preset()
         with pytest.raises(ValueError):
-            run_coupling(spec, eps, cap, RngStream(98), start_override=start)
+            run_coupling(spec, eps, cap, RngStream(98))
         with pytest.raises(ValueError):
-            post_coupling_agreement(spec, eps, 10, RngStream(98), steps_cap=cap,
-                                    start_override=start)
+            post_coupling_agreement(spec, eps, 10, RngStream(98), steps_cap=cap)
 
     def test_path_rejects_negative_steps(self):
-        with pytest.raises(ValueError):
-            random_walk_path(gated_cluster_preset(), -1, RngStream(98))
+        for n in (-1, 2.5):
+            with pytest.raises(ValueError):
+                random_walk_path(gated_cluster_preset(), n, RngStream(98))
 
 
 class TestWalkDiagnostics:
@@ -179,11 +176,10 @@ class TestPostCouplingAgreement:
         assert rep.passed
         assert 0.0 <= rep.max_gap < 0.2
 
-    def test_capped_run_reported(self):
+    def test_capped_run_reported(self, fix_starts):
+        fix_starts((3.0, 0.0))
         spec = gated_cluster_preset()
-        rep = post_coupling_agreement(
-            spec, 1e-9, 0, RngStream(106), steps_cap=50, start_override=(3.0, 0.0)
-        )
+        rep = post_coupling_agreement(spec, 1e-9, 0, RngStream(106), steps_cap=50)
         assert rep.capped
         assert not rep.passed
 
@@ -208,6 +204,12 @@ def walks(monkeypatch):
 
     monkeypatch.setattr(coupling, "_walk", counted)
     return calls
+
+
+def _run_bits(run):
+    """A coupling run to the bit."""
+    return tuple(v.tobytes() if isinstance(v, np.ndarray) else v.hex() if isinstance(v, float)
+                 else v for v in vars(run).values())
 
 
 def _fresh(spec, eps, k, rng, **kw):
@@ -237,16 +239,16 @@ class TestWalkHandoff:
             (50, 10, (3.0, 0.0)),
         ],
     )
-    def test_handoff_equals_fresh_walk(self, walks, law, cap, k, start):
+    def test_handoff_equals_fresh_walk(self, walks, fix_starts, law, cap, k, start):
+        fix_starts(start)
         spec = ProcessSpec(law, gated_cluster_preset().cluster)
         eps = 1e-9 if cap == 50 else 0.2
         for seed in range(3):
             rng = RngStream(120 + seed)
-            fresh = _fresh(spec, eps, k, rng, steps_cap=cap, start_override=start)
-            run = run_coupling(spec, eps, cap, rng, start_override=start)
+            fresh = _fresh(spec, eps, k, rng, steps_cap=cap)
+            run = run_coupling(spec, eps, cap, rng)
             del walks[:]
-            handed = post_coupling_agreement(spec, eps, k, rng, steps_cap=cap,
-                                             start_override=start)
+            handed = post_coupling_agreement(spec, eps, k, rng, steps_cap=cap)
             assert walks == []
             assert _bits(handed) == _bits(fresh)
             assert handed.tau == run.tau
@@ -292,15 +294,17 @@ class TestWalkHandoff:
         assert len(walks) == 1
         assert walks[0][2] == 10**7
 
-    def test_array_start_override_matches(self, walks):
+    def test_repeated_run_takes_the_handoff(self, walks):
         spec = gated_cluster_preset()
-        rng = RngStream(130)
-        fresh = _fresh(spec, 0.2, 100, rng, start_override=(1.0, 1.0))
-        run_coupling(spec, 0.2, 10**7, rng, start_override=np.array([1.0, 1.0]))
+        fresh = _fresh(spec, 0.2, 100, RngStream(130))
+        fresh_run = run_coupling(spec, 0.2, 10**7, RngStream(130))
+        coupling._handoff.clear()
         del walks[:]
-        handed = post_coupling_agreement(spec, 0.2, 100, rng,
-                                         start_override=np.array([1.0, 1.0]))
-        assert walks == []
+        first = run_coupling(spec, 0.2, 10**7, RngStream(130))
+        again = run_coupling(spec, 0.2, 10**7, RngStream(130))
+        handed = post_coupling_agreement(spec, 0.2, 100, RngStream(130))
+        assert len(walks) == 1
+        assert _run_bits(first) == _run_bits(again) == _run_bits(fresh_run)
         assert _bits(handed) == _bits(fresh)
 
     def test_coupling_kind_walks_each_run_once(self, walks, tmp_path):
@@ -327,8 +331,9 @@ class TestWalkHandoff:
         rng = RngStream(132)
         fresh = _fresh(spec, 0.2, 100, rng)
         run_coupling(spec, 0.2, 10**7, rng)
-        with pytest.raises(ValueError):
-            post_coupling_agreement(spec, 0.0, 100, rng)
+        for eps, k in [(0.0, 100), (0.2, 2.5), (0.2, -1)]:
+            with pytest.raises(ValueError):
+                post_coupling_agreement(spec, eps, k, rng)
         handed = post_coupling_agreement(spec, 0.2, 100, rng)
         assert len(walks) == 2  # the fresh walk and run_coupling's
         assert _bits(handed) == _bits(fresh)

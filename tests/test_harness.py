@@ -207,6 +207,18 @@ class TestConfigParsing:
         assert cfg.spec is None
         assert cfg.params["n"] == 20
 
+    @pytest.mark.parametrize("text", [
+        GATED_CONFIG.replace("experiment = window_mean", "experiment = stationarity_check")
+        .replace("t = 20\nx = 1\n", "shifts = 0,10\n"),
+        "experiment = flip_test\nn = 20\n",
+    ], ids=["stationarity_check", "flip_test"])
+    def test_ks_level_checked_at_parse_time(self, text):
+        for alpha in ("0", "1", "-0.5", "nan"):
+            with pytest.raises(ConfigError, match="'alpha'"):
+                build_experiment_config(parse_kv(text + f"alpha = {alpha}\n"))
+        cfg = build_experiment_config(parse_kv(text + "alpha = 1e-6\n"))
+        assert cfg.params["alpha"] == 1e-6
+
     def test_n_rep_below_one_rejected(self):
         d = parse_kv(GATED_CONFIG.replace("n_rep = 200", "n_rep = 0"))
         with pytest.raises(ConfigError, match="n_rep"):
@@ -515,6 +527,12 @@ class TestCli:
         .replace("t = 20\nx = 1\n", "shifts = 0,10\nalpha = 0\n"),
         GATED_CONFIG.replace("experiment = window_mean", "experiment = stationarity_check")
         .replace("t = 20\nx = 1\n", "shifts = 0,10\nalpha = -1\n"),
+        # an empty or reversed window has no points at any shift, so its KS
+        # distance is 0 and the check could not fail
+        GATED_CONFIG.replace("experiment = window_mean", "experiment = stationarity_check")
+        .replace("t = 20\nx = 1\n", "shifts = 0,10\nx = 0\n"),
+        GATED_CONFIG.replace("experiment = window_mean", "experiment = stationarity_check")
+        .replace("t = 20\nx = 1\n", "shifts = 0,10\nx = -1\n"),
         # a coupled fraction of at most 0 always passes, one above 1 never
         # does; every walk is capped at one step
         COUPLING_CAPPED + "min_finite = 0\n",
@@ -532,6 +550,7 @@ class TestCli:
             "recurrence_cdf-t-negative", "key_renewal-t-negative",
             "flip_test-ones_needed-above-n", "flip_test-ones_needed-0", "flip_test-alpha-0",
             "flip_test-alpha-2", "stationarity_check-alpha-0", "stationarity_check-alpha-negative",
+            "stationarity_check-x-0", "stationarity_check-x-negative",
             "coupling-min_finite-0", "coupling-min_finite-negative", "coupling-min_finite-above-1",
             "recurrence_cdf-tol-0", "recurrence_cdf-tol-negative", "recurrence_cdf-tol-1"])
     def test_verify_bad_value_exit_two(self, tmp_path, text, capsys):

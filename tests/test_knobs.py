@@ -19,11 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DEFINED = sorted((ROOT / "src").rglob("*.py"))
 CALLERS = sorted(p for d in ("src", "demos", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
-ALLOWED = {
-    "coupling.run_coupling(start_override)": "test seam: fixes both starting epochs",
-    "coupling.post_coupling_agreement(start_override)": "test seam: fixes both starting epochs",
-    "coupling.random_walk_path(start_override)": "test seam: fixes both starting epochs",
-}
+ALLOWED = {}
 
 
 def defaulted_params(source, module):

@@ -34,7 +34,6 @@ from renewalcluster.clusters import EmptyCluster
 from renewalcluster.coupling import (
     _FIRST_CHUNK,
     _ahead,
-    _draw_starts,
     _walk,
     post_coupling_agreement,
     run_coupling,
@@ -88,12 +87,10 @@ def test_walk_matches_recorded(rec):
     ids=[f"{a['law']}-s{a['substream']}-cap{a['cap']}-k{a['k_checks']}"
          + ("-equal" if a["start_override"] else "") for a in TABLE["agreements"]],
 )
-def test_agreement_matches_recorded(rec):
-    start = rec["start_override"]
-    rep = post_coupling_agreement(
-        _spec(rec["law"]), EPS, rec["k_checks"], _rng(rec), steps_cap=rec["cap"],
-        start_override=None if start is None else tuple(start),
-    )
+def test_agreement_matches_recorded(rec, fix_starts):
+    fix_starts(rec["start_override"])
+    rep = post_coupling_agreement(_spec(rec["law"]), EPS, rec["k_checks"], _rng(rec),
+                                  steps_cap=rec["cap"])
     assert rep.tau == rec["tau"]
     assert list(rep.violations) == rec["violations"]
     assert _hex(rep.max_gap) == rec["max_gap"]
@@ -102,11 +99,7 @@ def test_agreement_matches_recorded(rec):
 def _continuation(rec, n=40_000):
     """The first n shared steps after tau (after the cap for a capped
     walk), read in uneven chunks."""
-    spec = _spec(rec["law"])
-    g = _rng(rec).generator()
-    start = rec["start_override"]
-    t0, t_delayed = _draw_starts(spec, g, None if start is None else tuple(start))
-    *_, steps = _walk(spec, EPS, rec["cap"], g, t0, t_delayed)
+    *_, steps = _walk(_spec(rec["law"]), EPS, rec["cap"], _rng(rec).generator())
     parts, chunk = [], 1
     while n:
         parts.append(steps.take(min(chunk, n)).copy())
@@ -121,7 +114,8 @@ def _continuation(rec, n=40_000):
     ids=lambda a: f"{a['law']}-s{a['substream']}-cap{a['cap']}"
     + ("-equal" if a["start_override"] else ""),
 )
-def test_continuation_matches_recorded(rec):
+def test_continuation_matches_recorded(rec, fix_starts):
+    fix_starts(rec["start_override"])
     assert _sha(_continuation(rec)) == rec["continuation_sha256"]
 
 
