@@ -130,22 +130,6 @@ class AgreementReport:
         return (not self.capped) and not self.violations
 
 
-def _signed_gaps(law, g, n):
-    """n shared gaps, each carrying its Rademacher sign in the sign bit.
-
-    Draws the gaps, then n raw words; a word with its top bit set makes its
-    step -1.  That is the stream position of ``g.random(n) < 0.5`` (true
-    exactly when the top bit is clear) and, bit for bit, ``np.where(plus,
-    x, -x)``.
-    """
-    x = np.asarray(law.sample(g, n), dtype=np.float64)
-    w = g.bit_generator.random_raw(n)
-    w &= _SIGN
-    bits = x.view(np.uint64)
-    bits ^= w
-    return x
-
-
 def _ahead(g, words):
     """A generator on g's Philox stream, ``words`` 64-bit words ahead of
     g's next one; g itself does not move.
@@ -409,18 +393,17 @@ def post_coupling_agreement(
 
 
 def random_walk_path(spec: ProcessSpec, n_steps: int, rng: RngStream) -> np.ndarray:
-    """Dense walk path V_0..V_n for diagnostics (no stopping).
-
-    It draws n gaps, then n sign words, in one block.  For n <= 2^14 that
-    is the layout of the walk ``run_coupling`` takes at ``steps_cap = n``,
-    whose V_i it gives exactly; a larger n, or a larger cap, splits the
-    walk into blocks of 2^14 and its path differs from step 1 on.
-    """
+    """Dense walk path V_0..V_n for diagnostics (no stopping): the walk
+    ``run_coupling`` takes at ``steps_cap = n``, block by block, each V_i
+    its block's starting V plus the block's partial sum, as the walk forms it."""
     n_steps = _count("n_steps", n_steps, 0)
     g = rng.generator()
     t0, t_delayed = _draw_starts(spec, g)
-    steps = _signed_gaps(spec.interarrival, g, n_steps)
-    return (t0 - t_delayed) + np.concatenate(([0.0], np.cumsum(steps)))
+    steps = _SharedSteps(spec.interarrival, g, n_steps)
+    v = [np.array([t0 - t_delayed])]
+    for _ in range(0, n_steps, _BLOCK):  # each take reads one whole block
+        v.append(v[-1][-1] + steps.take(_BLOCK).cumsum())
+    return np.concatenate(v)
 
 
 def rademacher_flip_test(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import QuadratureError
 from .patterns import csv_text
-from .process import ProcessSpec, _segment_reduce, block_size, delayed_block, guard_band
+from .process import ProcessSpec, _finite, block_size, delayed_block, guard_band
 from .streams import RngStream
 
 __all__ = [
@@ -166,6 +166,7 @@ def estimate_window_mean(
     rng: RngStream,
 ) -> ExperimentReport:
     """Monte Carlo mean of the count in (t, t+x] over independent runs."""
+    _finite(t=t, x=x)
     if t < 0 or not x > 0:
         raise ValueError("need t >= 0, x > 0")
     fn, block = _window_rows(spec, t, t + x)
@@ -180,6 +181,7 @@ def estimate_elementary_ratio(
     rng: RngStream,
 ) -> ExperimentReport:
     """Monte Carlo estimate of (count in (0, t]) / t."""
+    _finite(t=t)
     if not t > 0:
         raise ValueError("t must be positive")
     fn, block = _window_rows(spec, 0.0, t)
@@ -223,16 +225,18 @@ def estimate_forward_recurrence_cdf(
     void identity P(W_t <= x) = P(N(t, t + x] >= 1).
 
     Per row, the grid values x with (t, t + x] empty are a prefix of the
-    grid; a block holds its length, one integer per row, and the CDF at j
-    is the fraction of rows whose prefix is at most j long.  Each block
-    reads one delayed block on (0, t + pad + guard] from its substream 0,
-    with pad = max(x_grid[-1], 1) + 10 E X: the pad is only the stream
-    layout of the pinned ``cdf.csv`` and criterion 4, and dropping it
-    changes them.  The target is the Bartlett-Lewis limit, or None.
+    grid; a block holds its length, the row's zeros in ``Block.grid_counts``
+    on (t, t + x], and the CDF at j is the fraction of rows whose prefix is
+    at most j long.  Each block reads one delayed block on
+    (0, t + pad + guard] from its substream 0, with
+    pad = max(x_grid[-1], 1) + 10 E X: the pad is only the stream layout of
+    the pinned ``cdf.csv`` and criterion 4, and dropping it changes them.
+    The target is the Bartlett-Lewis limit, or None.
     """
+    x_grid = np.asarray(x_grid, dtype=np.float64)
+    _finite(t=t, x_grid=x_grid)
     if t < 0:
         raise ValueError("need t >= 0")
-    x_grid = np.asarray(x_grid, dtype=np.float64)
     if x_grid.size == 0 or np.any(np.diff(x_grid) < 0) or np.any(x_grid < 0):
         raise ValueError("x_grid must be sorted and nonnegative")
     pad = float(max(x_grid[-1], 1.0) + 10.0 * spec.interarrival.mean())
@@ -240,7 +244,7 @@ def estimate_forward_recurrence_cdf(
 
     def rows_of(stream, rows):
         blk = delayed_block(spec, rows, t_max, stream.substream(0).generator())
-        return _empty_prefix(blk, t, t + x_grid)
+        return np.count_nonzero(blk.grid_counts(t, t + x_grid) == 0, axis=1)
 
     block = block_size(spec, t_max)
     k = replicate(rows_of, n_rep, rng, block)
@@ -249,14 +253,6 @@ def estimate_forward_recurrence_cdf(
     params = _bartlett_lewis_params(spec)
     target = None if params is None else bartlett_lewis_recurrence_cdf(*params, x_grid)
     return CdfReport(x_grid, values, half, n_rep, target, rng.seed, block)
-
-
-def _empty_prefix(blk, t, ends) -> np.ndarray:
-    """Per row: how many of the sorted window ends u have (t, u] empty, the
-    ``Block.grid_counts`` cell of the row's first point after t."""
-    first = np.min([_segment_reduce(np.minimum, np.where(p > t, p, np.inf), s, np.inf)
-                    for p, s in blk.sources], axis=0)
-    return np.searchsorted(ends, first)
 
 
 def bartlett_lewis_void_probability(
@@ -316,6 +312,7 @@ def estimate_void_probability(
     rng: RngStream,
 ) -> ExperimentReport:
     """Fraction of replications with an empty window (t, t+x]."""
+    _finite(t=t, x=x)
     if t < 0 or not x > 0:
         raise ValueError("need t >= 0, x > 0")
     fn, block = _window_rows(spec, t, t + x)
@@ -355,6 +352,7 @@ def estimate_renewal_function(
     """Monte Carlo estimate of the expected count of points at or below each
     grid time: per replication, the count in (-inf, u] for each grid time u."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
+    _finite(t_grid=t_grid)
     if t_grid.size == 0 or np.any(np.diff(t_grid) < 0):
         raise ValueError("t_grid must be sorted and nonempty")
     fn, block = _delayed_rows(spec, float(t_grid[-1]), lambda b: b.grid_counts(-np.inf, t_grid))
@@ -406,6 +404,7 @@ def estimate_key_renewal(
     of [0, x) this is ``estimate_window_mean(spec, t - x, x, ...)``, draw
     for draw.
     """
+    _finite(t=t)
     if t < 0:
         raise ValueError("need t >= 0")
     lo = t - max(b for _, b, _ in g.pieces)

@@ -113,7 +113,7 @@ class Block:
     clusters' offsets in arrival order, and row r's cluster points are
     ``points[point_starts[r]:point_starts[r + 1]]``.  When the spec
     includes parents, the epochs count as points too.  Estimators read
-    ``window_counts``, ``grid_counts`` and, for the recurrence CDF, ``sources``.
+    ``window_counts`` and ``grid_counts``.
     """
 
     def __init__(self, starts, epochs, gaps, sizes, offsets, include_parents):
@@ -151,6 +151,20 @@ class Block:
             cell = row * grid.size + np.searchsorted(grid, p[inside])
             hist = hist + np.bincount(cell, minlength=self.rows * grid.size)
         return hist.reshape(self.rows, grid.size).cumsum(axis=1)
+
+
+def _finite(**values):
+    """ValueError unless every named value, a number or an array, is finite."""
+    for name, v in values.items():
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} must be finite, got {v}")
+
+
+def _window(lo, hi):
+    """ValueError unless window_lo < window_hi, both finite."""
+    _finite(window_lo=lo, window_hi=hi)
+    if not lo < hi:
+        raise ValueError("need window_lo < window_hi")
 
 
 def block_size(spec: ProcessSpec, span: float) -> int:
@@ -258,6 +272,7 @@ def sample_delayed_marked_renewal(
     spec: ProcessSpec, horizon: float, guard: float, rng: RngStream
 ) -> MarkedPattern:
     """Delayed marked renewal process with epochs up to horizon + guard."""
+    _finite(horizon=horizon, guard=guard)
     if not horizon >= 0 or not guard >= 0:
         raise ValueError("horizon and guard must be nonnegative")
     t_max = horizon + guard
@@ -274,8 +289,7 @@ def sample_renewal_cluster_process(
     points outside the window are tallied in ``overflow`` so callers can
     bound edge effects.
     """
-    if not window_lo < window_hi:
-        raise ValueError("need window_lo < window_hi")
+    _window(window_lo, window_hi)
     blk = delayed_block(spec, 1, window_hi + guard_band(spec), rng.generator())
     return window_pattern(blk.all_points(), window_lo, window_hi)
 

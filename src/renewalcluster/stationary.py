@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .patterns import MarkedArrival, MarkedPattern, PointPattern, window_pattern
-from .process import ProcessSpec, _gaps_until, _marked_block, block_size, guard_band
+from .process import ProcessSpec, _gaps_until, _marked_block, _window, block_size, guard_band
 from .streams import RngStream
 
 __all__ = [
@@ -100,8 +100,7 @@ def stationary_block(spec, rows, window_lo, window_hi, g):
     Each row keeps the arrivals at -(1 - U) X* and U X*, the left arrivals
     down to window_lo - guard and the right ones up to window_hi + guard.
     """
-    if not window_lo < window_hi:
-        raise ValueError("need window_lo < window_hi")
+    _window(window_lo, window_hi)
     guard = guard_band(spec)
     x_star = _size_biased_gaps(spec.interarrival, rows, g)
     u = g.random(rows)
@@ -127,6 +126,7 @@ def stationary_block(spec, rows, window_lo, window_hi, g):
 def stationary_rows(spec, window_lo, window_hi):
     """Block function giving each row's (count in the window, overflow) of
     the stationary process, and its block size."""
+    _window(window_lo, window_hi)
     guard = guard_band(spec)
 
     def rows_of(stream, rows):
@@ -144,6 +144,7 @@ def sample_stationary_marked_renewal(
     rng: RngStream,
 ) -> TwoSidedMarkedPattern:
     """Stationary marked renewal process covering (window_lo, window_hi]."""
+    _window(window_lo, window_hi)
     blk, origin = stationary_block(spec, 1, window_lo, window_hi, rng.generator())
     lo = float(np.nextafter(blk.epochs[0], -np.inf))
     hi = float(max(blk.epochs[-1], window_hi + guard_band(spec)))
@@ -158,5 +159,6 @@ def sample_stationary_cluster_process(
     rng: RngStream,
 ) -> PointPattern:
     """Stationary renewal cluster process restricted to (window_lo, window_hi]."""
+    _window(window_lo, window_hi)
     blk, _ = stationary_block(spec, 1, window_lo, window_hi, rng.generator())
     return window_pattern(blk.all_points(), window_lo, window_hi)

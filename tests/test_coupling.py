@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from renewalcluster import (
+    EmptyCluster,
     Exponential,
     FixedCount,
     GammaLaw,
@@ -23,8 +24,8 @@ from renewalcluster import (
 from renewalcluster import coupling
 from renewalcluster.config import build_experiment_config, parse_kv
 from renewalcluster.coupling import (
+    _SharedSteps,
     _kept_indices,
-    _signed_gaps,
     coupling_runs_to_csv,
     random_walk_path,
 )
@@ -127,6 +128,27 @@ class TestWalkInputs:
 
 
 class TestWalkDiagnostics:
+    @pytest.mark.parametrize("n", [2**14 + 1, 3 * 2**14 + 7])
+    @pytest.mark.parametrize(
+        "law",
+        [
+            Exponential(0.4),
+            Uniform(0.0, 5.0),
+            GammaLaw(2.5, 1.0),
+            Mixture(((0.5, Exponential(1.0)), (0.5, Uniform(0.0, 8.0)))),
+        ],
+        ids=lambda law: type(law).__name__,
+    )
+    def test_path_is_the_walks_own(self, law, n):
+        # past the first block too, the path is the walk run_coupling
+        # takes at steps_cap = n, at every index the walk stores
+        spec = ProcessSpec(interarrival=law, cluster=EmptyCluster(), delay=law)
+        run = run_coupling(spec, 1e-12, n, RngStream(104))
+        path = random_walk_path(spec, n, RngStream(104))
+        assert run.capped and path.size == n + 1
+        assert np.array_equal(path[run.v_path_indices].view(np.uint64),
+                              run.v_path.view(np.uint64))
+
     def test_martingale_mean(self):
         # E V_i = E V_0 = E T0 - E delay = 5/3 - 2.5 = -5/6 for the preset
         spec = gated_cluster_preset()
@@ -141,13 +163,8 @@ class TestWalkDiagnostics:
     def test_increment_symmetry(self):
         # V_i - V_0 is symmetric: its law matches its mirror image
         spec = gated_cluster_preset()
-        incs = np.array(
-            [
-                random_walk_path(spec, 200, RngStream(102, r))[-1]
-                - random_walk_path(spec, 200, RngStream(102, r))[0]
-                for r in range(3000)
-            ]
-        )
+        paths = [random_walk_path(spec, 200, RngStream(102, r)) for r in range(3000)]
+        incs = np.array([p[-1] - p[0] for p in paths])
         assert not two_sample_ks(incs, -incs, alpha=0.001).reject
 
     def test_tau_grows_as_band_shrinks(self):
@@ -463,14 +480,15 @@ class TestWalkKernel:
         ids=lambda law: type(law).__name__,
     )
     def test_signed_gaps_equal_where_rule(self, law):
-        a, b = RngStream(110).generator(), RngStream(110).generator()
-        got = _signed_gaps(law, a, 5000)
+        steps = _SharedSteps(law, RngStream(110).generator(), 5000)
+        got = steps.take(5000)
+        b = RngStream(110).generator()
         x = np.asarray(law.sample(b, 5000), dtype=np.float64)
         want = np.where(b.random(5000) < 0.5, x, -x)
         assert got.dtype == np.float64
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        # both rules leave the generator at the same position
-        assert a.random() == b.random()
+        # both rules leave the stream at the same position
+        assert steps.g.random() == b.random()
 
     def test_kept_indices_equal_mask_rule(self):
         assert _mismatched_ranges(_kept_indices) == []

@@ -23,10 +23,62 @@ from renewalcluster import (
     estimate_window_mean,
     gated_cluster_preset,
     key_renewal_limit,
+    sample_delayed_marked_renewal,
+    sample_renewal_cluster_process,
+    sample_stationary_cluster_process,
+    sample_stationary_marked_renewal,
     stream_for,
     theoretical_blackwell_limit,
 )
 from renewalcluster.estimators import _report, _window_rows
+from renewalcluster.stationary import stationary_rows
+
+NAN, INF = float("nan"), float("inf")
+SPEC = gated_cluster_preset()
+ONE = StepFunction([(0.0, 1.0, 1.0)])
+# a call with one non-finite time, window end, grid value or horizon
+NON_FINITE = {
+    "window_mean-t-nan": lambda rng: estimate_window_mean(SPEC, NAN, 1.0, 10, rng),
+    "window_mean-t-inf": lambda rng: estimate_window_mean(SPEC, INF, 1.0, 10, rng),
+    "window_mean-x-inf": lambda rng: estimate_window_mean(SPEC, 1.0, INF, 10, rng),
+    "ratio-t-inf": lambda rng: estimate_elementary_ratio(SPEC, INF, 10, rng),
+    "void-t-nan": lambda rng: estimate_void_probability(SPEC, NAN, 1.0, 10, rng),
+    "void-x-inf": lambda rng: estimate_void_probability(SPEC, 1.0, INF, 10, rng),
+    "cdf-t-nan": lambda rng: estimate_forward_recurrence_cdf(SPEC, NAN, [1.0], 10, rng),
+    "cdf-grid-nan": lambda rng: estimate_forward_recurrence_cdf(SPEC, 1.0, [0.5, NAN, 2.0],
+                                                                10, rng),
+    "cdf-grid-inf": lambda rng: estimate_forward_recurrence_cdf(SPEC, 1.0, [0.5, INF], 10, rng),
+    "renewal_function-grid-nan": lambda rng: estimate_renewal_function(SPEC, [1.0, NAN, 3.0],
+                                                                       10, rng),
+    "renewal_function-grid-inf": lambda rng: estimate_renewal_function(SPEC, [1.0, INF], 10, rng),
+    "key_renewal-t-nan": lambda rng: estimate_key_renewal(SPEC, NAN, ONE, 10, rng),
+    "key_renewal-t-inf": lambda rng: estimate_key_renewal(SPEC, INF, ONE, 10, rng),
+    "delayed-horizon-inf": lambda rng: sample_delayed_marked_renewal(SPEC, INF, 1.0, rng),
+    "cluster_process-hi-inf": lambda rng: sample_renewal_cluster_process(SPEC, 0.0, INF, rng),
+    "cluster_process-lo-nan": lambda rng: sample_renewal_cluster_process(SPEC, NAN, 1.0, rng),
+    "stationary_marked-lo-inf": lambda rng: sample_stationary_marked_renewal(SPEC, -INF, 1.0,
+                                                                             rng),
+    "stationary_cluster-hi-inf": lambda rng: sample_stationary_cluster_process(SPEC, 0.0, INF,
+                                                                               rng),
+    "stationary_rows-lo-inf": lambda rng: stationary_rows(SPEC, -INF, 1.0),
+}
+
+
+class TestNonFiniteInputs:
+    """A nan or infinite time, window end, grid value or horizon is a
+    ValueError raised before any draw."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def generator(self):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(RngStream, "generator", generator)
+
+    @pytest.mark.parametrize("call", NON_FINITE.values(), ids=NON_FINITE.keys())
+    def test_rejected(self, call):
+        with pytest.raises(ValueError, match="must be finite"):
+            call(RngStream(120))
 
 
 class TestTheoreticalLimits:

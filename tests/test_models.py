@@ -22,7 +22,7 @@ from renewalcluster import (
     two_sample_ks,
 )
 from renewalcluster.errors import RunawayGenerationError
-from renewalcluster.estimators import _empty_prefix, replicate
+from renewalcluster.estimators import replicate
 from renewalcluster.process import delayed_block
 from renewalcluster.stationary import stationary_block
 
@@ -316,7 +316,7 @@ class TestBlockBookkeeping:
             and got_overflow[r] == pts.size - count
             # the recurrence estimator's row: the windows (T, T + x] that
             # are empty, which are those ending before the first point
-            and _empty_prefix(blk, self.T, self.T + self.X)[r]
+            and np.count_nonzero(blk.grid_counts(self.T, self.T + self.X)[r] == 0)
             == np.count_nonzero(first > self.T + self.X)
             and np.array_equal(blk.grid_counts(self.GRID_LO, self.GRID)[r], grid)
         )

@@ -9,6 +9,12 @@ at epsilon 0.1: substreams 0-39 at a cap of 10^5, substream 335 (tau =
 block, and three dense diagnostic paths.  The draws, tau, V_tau, L_tau and
 the stored path must match exactly; the plus/minus sums behind the coupling
 time are formed differently, so it matches to 1e-12 relative.
+
+The three paths, of 50,000 steps each, were recorded again when
+``random_walk_path`` came to read the walk's own blocks of 2^14 steps
+(before, it drew all n gaps, then n sign words, in one block); each is now
+the path of the walk ``run_coupling`` takes at ``steps_cap = 50,000``.  No
+other entry changed.
 """
 
 import hashlib
