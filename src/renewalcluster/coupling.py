@@ -12,21 +12,21 @@ Draw order: first the two starting epochs, U X* for the stationary copy
 (X* the exact size-biased gap of ``stationary._size_biased_gaps``) and a
 delay draw for the delayed one; then the shared steps come in blocks.
 A block starting at step s holds min(2^14, cap - s) steps while the walk
-runs, and 2^14 steps in the continuation past tau; it draws its gaps from
-the interarrival law, then as many raw 64-bit words.  A step is +1 when
-its word's top bit is clear (the event ``random() < 0.5`` at that stream
-position).  The stored path keeps V_i for every i <= 10^4, then in octave
-k, 10^4 2^(k-1) < i <= 10^4 2^k, the i divisible by 2^k.
+runs, and 2^14 steps in the continuation past tau.  On Uniform(lo, hi)
+gaps a step is one raw 64-bit word w: the gap lo + (hi - lo) (w >> 11)
+2^-53, ``Generator.uniform``'s value for that word, signed -1 when w's bit
+0 (which the gap does not read) is set.  Other laws draw a block's gaps
+from the law, then as many raw words, and a step is +1 when its word's
+top bit is clear (the event ``random() < 0.5`` at that stream position).
+The stored path keeps V_i for every i <= 10^4, then in octave k,
+10^4 2^(k-1) < i <= 10^4 2^k, the i divisible by 2^k.
 
 The layout is fixed; only the reading is lazy.  ``_SharedSteps`` hands the
-steps out in chunks and materializes only those the walk reads: a
-Uniform law takes one word per gap, so the first block's gaps are drawn
-as read and its sign words come from a second Philox placed a block
-ahead (the stream is counter-based, so ``streams._philox`` builds it from
-key and counter alone); other laws draw the block's gaps at once and read
-the sign words as needed.  Walks, paths and the draws left
-after tau are bit-identical to those of the earlier kernels that drew
-whole blocks (tests/data/walk_parity.json, walk_parity_laws.json).
+steps out in chunks, from the one generator, and materializes only those
+the walk reads: on Uniform gaps the words of a chunk as it is read, for
+other laws a block's gaps when it opens and its sign words as read.
+Walks, paths and the draws left after tau do not depend on the chunks
+(tests/data/walk_parity.json, walk_parity_laws.json).
 
 Each walk is walked once.  ``run_coupling`` leaves the finished walk, its
 reader positioned just past tau, in a one-shot module-private slot keyed
@@ -55,7 +55,7 @@ from .patterns import csv_text
 from .process import ProcessSpec
 from .stationary import _size_biased_gaps
 from .stats import KsReport, two_sample_ks
-from .streams import RngStream, _philox
+from .streams import RngStream
 
 __all__ = [
     "CouplingRun",
@@ -70,9 +70,10 @@ __all__ = [
 _BLOCK = 1 << 14
 # The walk's first chunk, near the median tau of criterion 8's walks
 # (1040 steps).  A chunk costs about 9 us of numpy calls besides its
-# draws (2 cores, numpy 2.4.6); among 256 to 2048, a walk and its
-# agreement cost least in the mean with 1024 or 2048, and in the median
-# with 2048 (4% below 1024).
+# draws (2 cores, numpy 2.4.6).  With one word a Uniform step, a walk and
+# its agreement on the gated preset cost the same at 1024 and 2048 in the
+# median and the mean (within 5%, the host's noise), and 1.2-1.7% more at
+# 2048 in the median of per-walk ratios.
 _FIRST_CHUNK = 1024
 _DENSE_PATH = 10_000
 _SIGN = np.uint64(1 << 63)
@@ -130,36 +131,28 @@ class AgreementReport:
         return (not self.capped) and not self.violations
 
 
-def _ahead(g, words):
-    """A generator on g's Philox stream, ``words`` 64-bit words ahead of
-    g's next one; g itself does not move.
-
-    Word w of the stream is lane w % 4 of counter w // 4 + 1, and a state
-    (counter c, buffer_pos p) reads word 4 (c - 1) + p next.
-    """
-    state = g.bit_generator.state
-    counter = int.from_bytes(state["state"]["counter"].astype("<u8").tobytes(), "little")
-    w = 4 * (counter - 1) + state["buffer_pos"] + words
-    h = _philox(state["state"]["key"], w // 4)
-    h.random_raw(w % 4)
-    return np.random.Generator(h)
-
-
 class _SharedSteps:
     """The shared signed steps of one walk and its continuation, read in
     stream order and materialized only as far as they are read.
 
     The one reader of the layout: a block starting at step s holds
-    min(2^14, cap - s) steps (2^14 once s >= cap or the walk has ended),
-    its gaps first, then as many sign words.  ``take`` never crosses a
-    block end; ``block[:drawn]`` are the current block's steps so far.
+    min(2^14, cap - s) steps (2^14 once s >= cap or the walk has ended).
+    On Uniform gaps each step is one raw word; otherwise a block draws its
+    gaps first, then as many sign words.  ``take`` never crosses a block
+    end; ``block[:drawn]`` are the current block's steps so far.
     """
 
     def __init__(self, law, g, cap):
         self.law, self.g, self.cap = law, g, cap
         self.start = self.size = self.read = self.drawn = 0
-        self.block = self.signs = None
-        self.lazy = False
+        self.block = None
+        if type(law) is Uniform:
+            # Generator.uniform's value for a word w is lo + (hi - lo) (w >> 11) 2^-53;
+            # (hi - lo) 2^-53 is exact (for hi - lo >= 2^-969), so one product
+            # rounds as its two do
+            self.lo, self.scale = float(law.lo), (float(law.hi) - float(law.lo)) * 2.0**-53
+        else:
+            self.scale = None
 
     def end_walk(self, read):
         """The walk stopped after step ``read`` of the current block: the
@@ -175,15 +168,16 @@ class _SharedSteps:
         a, b = self.read, min(self.read + n, self.size)
         if b > self.drawn:
             x = self.block[self.drawn : b]
-            if self.lazy:
-                x[:] = self.law.sample(self.g, x.size)
-            w = self.signs.bit_generator.random_raw(x.size)
-            w &= _SIGN
+            w = self.g.bit_generator.random_raw(x.size)
+            if self.scale is None:
+                w &= _SIGN  # the sign word's top bit
+            else:
+                np.multiply(w >> 11, self.scale, out=x)
+                x += self.lo
+                w <<= 63  # bit 0, which the gap does not read
             bits = x.view(np.uint64)
             bits ^= w
             self.drawn = b
-            if b == self.size:
-                self.g = self.signs
         self.read = b
         return self.block[a:b]
 
@@ -191,14 +185,10 @@ class _SharedSteps:
         self.start += self.size
         self.size = min(_BLOCK, self.cap - self.start) if self.start < self.cap else _BLOCK
         self.read = self.drawn = 0
-        # Uniform takes one word per gap and its draws are prefix-consistent
-        self.lazy = self.start == 0 and type(self.law) is Uniform
-        if self.lazy:
-            self.block = np.empty(self.size)
-            self.signs = _ahead(self.g, self.size)
-        else:
+        if self.scale is None:
             self.block = np.asarray(self.law.sample(self.g, self.size), dtype=np.float64)
-            self.signs = self.g
+        else:
+            self.block = np.empty(self.size)
 
 
 def _kept_indices(a, b):

@@ -599,14 +599,15 @@ class TestCli:
     )
 
     def test_coupling_agreement_uses_the_configured_cap(self, tmp_path):
-        # seed 30: the one run couples at tau 67; an agreement walked on
-        # another substream at the default cap of 10^7 was capped there
-        # and failed the experiment
+        # seed 30: the one run couples at tau 20, and its agreement walks
+        # the same walk at the configured cap; an agreement walked on
+        # another substream at the default cap of 10^7 was once capped
+        # there and failed the experiment
         cfg = self._write(tmp_path, self.COUPLING_CONFIG + "min_finite = 1\nn_rep = 1\nseed = 30\n")
         out = tmp_path / "cpl"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "coupling.csv").read_text() == (
-            "epsilon,tau,coupling_time,capped\n0.1,67,82.0278668022959,false\n"
+            "epsilon,tau,coupling_time,capped\n0.1,20,27.761271688135867,false\n"
         )
 
     def test_coupling_below_min_finite_exit_one(self, tmp_path):

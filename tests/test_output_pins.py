@@ -3,6 +3,9 @@
 The ``key_renewal`` pins were re-recorded when the kind became a reported
 estimator (one ``report.csv`` format, no ``grid``, no ``renewal.csv``), and
 ``renewal_function/renewal.csv`` when its no-op ``corrected`` column went.
+``coupling/coupling.csv`` was re-recorded when a coupling-walk step on
+Uniform gaps came to read one word (gap from the top 53 bits, sign from
+bit 0) instead of a gap and a sign word.
 
 The marked-path CSVs, both ``flatten`` outputs, the stationary path with
 its origin index, and every artifact plus the manifest of each experiment
@@ -71,7 +74,7 @@ PINS = {
     "gated/flatten_parents": "c28bf6b04e3eabd8d766c807aab7e437ca9884338177327678e8a451ee1ef599",
     "gated/stationary.csv": "0398e2b2129017ddf2f28bcc3186df9ad0a3cb2ada0a9642f1c3468b3efe2f62",
     "coupling/status": "0",
-    "coupling/coupling.csv": "a4e3764e20b6cce7788107022a1b79f68b74b9d11ae9ab7dee17383b08b590d8",
+    "coupling/coupling.csv": "545a86f45d7442a26ff2897f2f17e18418ab302dc8385ffdb7d533280bc81eb5",
     "coupling/manifest.txt": "603118e644a28c5e3a93bbf93f028e33645d4ce3cf6a9e17be904f98173b1444",
     "elementary/status": "0",
     "elementary/manifest.txt": "584b386cf72b3b81ab32b1cf8a3254464ed370021c5d2c54c073692b9e04dc88",

@@ -1,7 +1,8 @@
 """The shared-step layout of the coupling walk, read lazily.
 
 ``data/walk_parity_laws.json`` was written by renewalcluster at commit
-6f4976f, whose walk drew every block whole.  It holds walks at epsilon 0.1
+6f4976f, whose walk drew every block whole (its gaps, then as many sign
+words).  It holds walks at epsilon 0.1
 for Uniform(0, 5), Exponential(0.4), Gamma(2.5, 1) and a 1:1 mixture of
 Exponential(1) and Uniform(0, 8) gaps (each law's own delay, no clusters),
 substreams 0-9 of ``stream_for(5, law)`` at caps 1, 300, 2^14, 2^14 + 1
@@ -20,6 +21,14 @@ walks that stayed capped did not change.  The new starts cap three mixture
 agreements whose walks coupled before (substream 0 at caps 2^14, 2^14 + 1
 and 20,000); they keep a continuation hash, of the 40,000 steps after the
 cap.  The three at substream 4 were capped and now couple.
+
+The Uniform rows were recorded again when a Uniform step came to read one
+word: the gap from its top 53 bits, the sign from its bit 0 (before, a
+block drew its gaps, then a sign word per step).  Their seeds, substreams,
+caps and k_checks are those of 6f4976f; every Uniform agreement now has a
+continuation hash, after the cap for the capped ones.  Under the new words
+the agreement walks at substreams 0 and 6, cap 300, traded places: 0
+couples (tau 49) and 6 is capped.  No row of another law changed.
 """
 
 import hashlib
@@ -33,7 +42,7 @@ from renewalcluster import Exponential, GammaLaw, Mixture, Uniform, stream_for
 from renewalcluster.clusters import EmptyCluster
 from renewalcluster.coupling import (
     _FIRST_CHUNK,
-    _ahead,
+    _SharedSteps,
     _walk,
     post_coupling_agreement,
     run_coupling,
@@ -131,75 +140,27 @@ def test_table_covers_the_layout():
 
 
 KEY = [0x243F6A8885A308D3, 0x13198A2E03707344]
-OFFSETS = [0, 1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 16383, 16384, 16385]
 
 
-@pytest.mark.parametrize("base", [0, 2**64 - 3], ids=["counter0", "carry"])
-@pytest.mark.parametrize("buffer_pos", [0, 1, 2, 3, 4])
-def test_ahead_reads_the_straight_stream(base, buffer_pos):
-    """_ahead(g, d) reads on from word d past g's next one, for every
-    buffer position and across counter (and 64-bit carry) boundaries."""
-    ref = np.random.Philox(counter=base, key=KEY).random_raw(16385 + 32)
-    for drawn in (1, 4, 5, 8):
-        g = np.random.Generator(np.random.Philox(counter=base, key=KEY))
-        g.bit_generator.random_raw(drawn)
-        nxt = drawn
-        state = g.bit_generator.state
-        if buffer_pos == 0:
-            if state["buffer_pos"] != 1:
-                continue
-            state["buffer_pos"] = 0  # lane 0 of the loaded counter, read again
-            g.bit_generator.state = state
-            nxt = drawn - 1
-        elif state["buffer_pos"] != buffer_pos:
-            g.bit_generator.random_raw((buffer_pos - state["buffer_pos"]) % 4)
-            nxt = drawn + (buffer_pos - state["buffer_pos"]) % 4
-        assert g.bit_generator.state["buffer_pos"] == buffer_pos
-        for d in OFFSETS:
-            h = _ahead(g, d)
-            assert np.array_equal(h.bit_generator.random_raw(6), ref[nxt + d : nxt + d + 6])
-        # g itself has not moved
-        assert np.array_equal(g.bit_generator.random_raw(2), ref[nxt : nxt + 2])
-
-
-def _philox_ahead(g, words):
-    """_ahead's bit generator built as ``Philox(counter=, key=)``, the
-    constructor that makes (and drops) a SeedSequence."""
-    state = g.bit_generator.state
-    counter = int.from_bytes(state["state"]["counter"].astype("<u8").tobytes(), "little")
-    w = 4 * (counter - 1) + state["buffer_pos"] + words
-    h = np.random.Philox(counter=w // 4, key=state["state"]["key"])
-    h.random_raw(w % 4)
-    return h
-
-
-@pytest.mark.parametrize("counter", [[1, 0, 0, 0], [2**64 - 1, 0, 0, 0], [2**64 - 1, 5, 0, 0]],
-                         ids=["counter1", "carry", "carry-high"])
-@pytest.mark.parametrize("buffer_pos", [0, 1, 2, 3])
-@pytest.mark.parametrize("words", [0, 1, 3, 2**14])
-def test_ahead_state_equals_the_philox_constructor(counter, buffer_pos, words):
-    """_ahead(g, w) reads the words of the bit generator that
-    ``Philox(counter=, key=)`` places w words ahead; a low counter word of
-    2^64 - 1 carries into the next word."""
-    g = np.random.Generator(np.random.Philox(key=KEY))
-    state = g.bit_generator.state
-    state["state"]["counter"] = np.array(counter, dtype=np.uint64)
-    state["buffer_pos"] = buffer_pos
-    g.bit_generator.state = state
-    got = _ahead(g, words).bit_generator.random_raw(9)
-    assert np.array_equal(got, _philox_ahead(g, words).random_raw(9))
-
-
-@pytest.mark.parametrize("n", [1, 3, 256, 1000])
-def test_uniform_takes_one_word_per_variate_and_is_prefix_consistent(n):
-    """The lazy first block rests on both; a numpy stream change that broke
-    either would change walks silently, so it fails here."""
-    law = Uniform(0.0, 5.0)
-    whole = np.random.Generator(np.random.Philox(key=KEY))
-    x = law.sample(whole, n)
-    words = np.random.Philox(key=KEY).random_raw(n + 1)
-    assert whole.bit_generator.random_raw() == words[n]
-    parts = np.random.Generator(np.random.Philox(key=KEY))
-    k = n // 3
-    y = np.concatenate([law.sample(parts, k), law.sample(parts, n - k)])
-    assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+@pytest.mark.parametrize("lo, hi", [(0.0, 5.0), (0.2, 3.0)])
+def test_uniform_step_is_one_word(lo, hi):
+    """On Uniform gaps step i reads word i of the stream alone: its gap is
+    ``Uniform.sample``'s value for that word, lo + (hi - lo) times the top
+    53 bits over 2^53, and it is negative when the word's bit 0 is set.
+    A numpy stream change that moved either would change walks silently,
+    so it fails here."""
+    n = 10**6
+    law = Uniform(lo, hi)
+    words = np.random.Philox(key=KEY).random_raw(n)
+    gaps = law.sample(np.random.Generator(np.random.Philox(key=KEY)), n)
+    top = lo + (hi - lo) * ((words >> 11) * 2.0**-53)
+    assert np.array_equal(gaps.view(np.uint64), top.view(np.uint64))
+    steps = _SharedSteps(law, np.random.Generator(np.random.Philox(key=KEY)), n)
+    parts, chunk = [], 1
+    while n:
+        parts.append(steps.take(min(chunk, n)).copy())
+        n -= parts[-1].size
+        chunk = 3 * chunk + 1
+    x = np.concatenate(parts)
+    assert np.array_equal(np.abs(x).view(np.uint64), gaps.view(np.uint64))
+    assert np.array_equal(np.signbit(x), (words & 1).astype(bool))

@@ -1,20 +1,21 @@
-"""Coupling walks against a table recorded from the earlier walk kernel.
+"""Coupling walks against a recorded table.
 
-``data/walk_parity.json`` was written by renewalcluster at commit 83303af,
-whose walk masked every step for the thinned path and signed the gaps with
-``np.where(g.random(n) < 0.5, x, -x)``.  It holds criterion 8's gated preset
-at epsilon 0.1: substreams 0-39 at a cap of 10^5, substream 335 (tau =
-2,049,890, past the eighth thinning octave) and substream 102 (capped at
-10^7), eight post-coupling agreements that draw beyond the walk's last
-block, and three dense diagnostic paths.  The draws, tau, V_tau, L_tau and
-the stored path must match exactly; the plus/minus sums behind the coupling
-time are formed differently, so it matches to 1e-12 relative.
+``data/walk_parity.json`` was first written by renewalcluster at commit
+83303af, whose walk masked every step for the thinned path and signed the
+gaps with ``np.where(g.random(n) < 0.5, x, -x)``.  It holds criterion 8's
+gated preset at epsilon 0.1: substreams 0-39 at a cap of 10^5, substreams
+335 and 102 at a cap of 10^7, eight post-coupling agreements that draw
+beyond the walk's last block, and three dense diagnostic paths of 50,000
+steps.  The draws, tau, V_tau, L_tau and the stored path must match
+exactly; the coupling time matches to 1e-12 relative and the agreement's
+max gap to 1e-6.
 
-The three paths, of 50,000 steps each, were recorded again when
-``random_walk_path`` came to read the walk's own blocks of 2^14 steps
-(before, it drew all n gaps, then n sign words, in one block); each is now
-the path of the walk ``run_coupling`` takes at ``steps_cap = 50,000``.  No
-other entry changed.
+Every entry was recorded again when a step on the preset's Uniform gaps
+came to read one word, its gap from the top 53 bits and its sign from bit
+0 (before, a block drew its gaps, then a sign word per step), with the
+substreams, caps and sizes unchanged.  Substream 335 (tau 2,049,890 before,
+past the eighth thinning octave) now couples at tau 393, and substream 102
+(capped at 10^7 before) at tau 225; substream 33 is capped at 10^5.
 """
 
 import hashlib

@@ -6,18 +6,20 @@ arcsine law P(K_n = k) = u_{2k} u_{2n-2k}, with u_{2m} = C(2m, m) 4^-m,
 for every gap law and every n; so P(S_1 > 0, ..., S_n > 0) = u_{2n}
 (Sparre Andersen, *Math. Scand.* 1954; Feller, vol. II, 1971, XII.7).  It
 holds for any n consecutive steps, so it checks the pairing of each gap
-with its sign word: a sign read from the wrong word can keep every step
-fair and symmetric and still make the steps dependent.
+with its sign: a sign read from the wrong word, or from the wrong bits of
+the gap's own word, can keep every step fair and symmetric and still make
+the steps dependent.
 
 The steps are read through ``_SharedSteps``, the walk's one reader, at a
-cap of 2^14 + 4: a first block of 2^14 steps (drawn lazily for a Uniform
-law) and a second of 4.  Stream r is ``RngStream(SEED, r)``.  Windows of n
-steps tile the first blocks of streams 0..STEP0_STREAMS - 1 from step 0 on,
-and the window of steps 2^14 - 3 .. 2^14 + 4 crosses the seam in each of
-streams 0..SEAM_STREAMS - 1.  Each chi^2 of K_n is judged at ALPHA, and
-the fraction of all-positive windows against u_{2n} at 4 SE.  Two
-controls must reject: signs read from the next gap's word, and lattice
-gaps, whose ties break the continuity the law needs.
+cap of 2^14 + 4: a first block of 2^14 steps and a second of 4.  Stream r
+is ``RngStream(SEED, r)``.  Windows of n steps tile the first blocks of
+streams 0..STEP0_STREAMS - 1 from step 0 on, and the window of steps
+2^14 - 3 .. 2^14 + 4 crosses the seam in each of streams
+0..SEAM_STREAMS - 1.  Each chi^2 of K_n is judged at ALPHA, and the
+fraction of all-positive windows against u_{2n} at 4 SE.  Two controls
+must reject: Uniform steps signed by their gap's own top bit (bit 63 of
+the word, in place of bit 0), and lattice gaps, whose ties break the
+continuity the law needs.
 """
 
 import math
@@ -27,7 +29,6 @@ import pytest
 from scipy import stats
 
 from renewalcluster import Exponential, GammaLaw, Mixture, RngStream, Uniform
-from renewalcluster import coupling
 from renewalcluster.coupling import _SharedSteps
 from test_lattice_controls import LatticeGaps
 
@@ -94,13 +95,24 @@ def test_arcsine_law_across_the_seam(name):
     assert abs(z) <= 4.0
 
 
+class _TopBitWords:
+    """A stand-in generator whose raw words carry their bit 63 in bit 0
+    too: a Uniform step then takes its sign from the gap's own top bit."""
+
+    def __init__(self, r):
+        self.words = RngStream(SEED, r).generator().bit_generator
+        self.bit_generator = self
+
+    def random_raw(self, size):
+        w = self.words.random_raw(size)
+        return w & ~np.uint64(1) | w >> 63
+
+
 @pytest.mark.parametrize("n", [4, 16])
-def test_sign_from_the_next_gaps_word_rejects(monkeypatch, n):
-    # the lazy first block reads its signs one word ahead instead of a
-    # block ahead: each sign is the top bit of the next gap's word
-    ahead = coupling._ahead
-    monkeypatch.setattr(coupling, "_ahead", lambda g, words: ahead(g, 1))
-    chi2, critical, _ = _verdict(_first_blocks(LAWS["uniform"]).reshape(-1, n))
+def test_sign_from_the_gaps_top_bit_rejects(n):
+    law = LAWS["uniform"]
+    steps = [_SharedSteps(law, _TopBitWords(r), CAP).take(BLOCK) for r in range(STEP0_STREAMS)]
+    chi2, critical, _ = _verdict(np.concatenate(steps).reshape(-1, n))
     assert chi2 > critical
 
 
