@@ -47,25 +47,21 @@ def _register_key():
     ISeedSequence.register(_Key)
 
 
-def _philox(key, counter):
-    """``np.random.Philox(counter=counter, key=key)``, word for word.
-
-    Philox is counter-based, so key and counter fix every word; with the key
-    as its seed sequence no ``SeedSequence`` is built, which would read OS
-    entropy for nothing and triple the cost.
-    """
-    _register_key()
-    return np.random.Philox(_Key(key), counter=counter)
-
-
 @dataclass(frozen=True)
 class RngStream:
     seed: int
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = self.seed & _MASK64, self.stream_id & _MASK64
-        return np.random.Generator(_philox(key, 0))
+        """``Generator(Philox(key=(seed, stream_id) mod 2^64))``, word for word.
+
+        The key goes in as the bit generator's seed sequence, so no
+        ``SeedSequence`` is built, which would read OS entropy for nothing
+        and triple the cost.
+        """
+        _register_key()
+        key = _Key((self.seed & _MASK64, self.stream_id & _MASK64))
+        return np.random.Generator(np.random.Philox(key))
 
     def substream(self, index: int) -> "RngStream":
         """Independent child stream; substream(i) == substream(i) always."""
