@@ -1,3 +1,4 @@
+import copy
 import importlib.util
 import re
 import tracemalloc
@@ -513,9 +514,7 @@ class TestWalkKernel:
         for s in range(111, 119):
             g = RngStream(s).generator()
             t0, t_delayed = _draw_starts(spec, g)
-            same = np.random.Generator(np.random.Philox())
-            same.bit_generator.state = g.bit_generator.state
-            gap = spec.interarrival.sample(same, cap)
+            gap = spec.interarrival.sample(copy.deepcopy(g), cap)
             w = g.bit_generator.random_raw(cap)
             y = np.where(w & 1, -gap, gap)
             v = [np.array([t0 - t_delayed])]

@@ -2,8 +2,8 @@
 
 ``data/walk_parity_laws.json`` was written by renewalcluster at commit
 6f4976f, whose walk drew every block whole (its gaps, then as many sign
-words).  It holds walks at epsilon 0.1
-for Uniform(0, 5), Exponential(0.4), Gamma(2.5, 1) and a 1:1 mixture of
+words).  It holds walks at epsilon 0.1 for Uniform(0, 5),
+Exponential(0.4), Gamma(2.5, 1) and a 1:1 mixture of
 Exponential(1) and Uniform(0, 8) gaps (each law's own delay, no clusters),
 substreams 0-9 of ``stream_for(5, law)`` at caps 1, 300, 2^14, 2^14 + 1
 and 20,000 and substreams 0-5 at 10^5; and for each cap two agreements on
@@ -105,16 +105,21 @@ def test_agreement_matches_recorded(rec, fix_starts):
     assert _hex(rep.max_gap) == rec["max_gap"]
 
 
-def _continuation(rec, n=40_000):
-    """The first n shared steps after tau (after the cap for a capped
-    walk), read in uneven chunks."""
-    *_, steps = _walk(_spec(rec["law"]), EPS, rec["cap"], _rng(rec).generator())
+def _read_unevenly(steps, n):
+    """The next n steps of a ``_SharedSteps``, taken in chunks of 1, 4, 13, ..."""
     parts, chunk = [], 1
     while n:
         parts.append(steps.take(min(chunk, n)).copy())
         n -= parts[-1].size
         chunk = 3 * chunk + 1
     return np.concatenate(parts)
+
+
+def _continuation(rec, n=40_000):
+    """The first n shared steps after tau (after the cap for a capped
+    walk), read in uneven chunks."""
+    *_, steps = _walk(_spec(rec["law"]), EPS, rec["cap"], _rng(rec).generator())
+    return _read_unevenly(steps, n)
 
 
 @pytest.mark.parametrize(
@@ -156,11 +161,6 @@ def test_uniform_step_is_one_word(lo, hi):
     top = lo + (hi - lo) * ((words >> 11) * 2.0**-53)
     assert np.array_equal(gaps.view(np.uint64), top.view(np.uint64))
     steps = _SharedSteps(law, np.random.Generator(np.random.Philox(key=KEY)), n)
-    parts, chunk = [], 1
-    while n:
-        parts.append(steps.take(min(chunk, n)).copy())
-        n -= parts[-1].size
-        chunk = 3 * chunk + 1
-    x = np.concatenate(parts)
+    x = _read_unevenly(steps, n)
     assert np.array_equal(np.abs(x).view(np.uint64), gaps.view(np.uint64))
     assert np.array_equal(np.signbit(x), (words & 1).astype(bool))
