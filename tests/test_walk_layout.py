@@ -164,3 +164,99 @@ def test_uniform_step_is_one_word(lo, hi):
     x = _read_unevenly(steps, n)
     assert np.array_equal(np.abs(x).view(np.uint64), gaps.view(np.uint64))
     assert np.array_equal(np.signbit(x), (words & 1).astype(bool))
+
+
+OFFSETS = [0, 1, 2, 3, 4, 5, 7, 8, 9, 255, 256, 16383, 16384, 16385]
+LAW = Uniform(0.0, 5.0)
+
+
+def _signed_uniform_steps(words):
+    """The Uniform(0, 5) steps that ``words`` make under the one-word rule:
+    the gap from the top 53 bits, negative where bit 0 is set."""
+    x = 5.0 * ((words >> 11) * 2.0**-53)
+    x.view(np.uint64)[:] ^= (words & np.uint64(1)) << np.uint64(63)
+    return x
+
+
+def _same_bits(x, y):
+    return np.array_equal(np.asarray(x).view(np.uint64), np.asarray(y).view(np.uint64))
+
+
+@pytest.mark.parametrize("base", [0, 2**64 - 3], ids=["counter0", "carry"])
+@pytest.mark.parametrize("buffer_pos", [0, 1, 2, 3, 4])
+def test_ahead_reads_the_straight_stream(base, buffer_pos):
+    """Step d of a Uniform walk on g reads word d past g's next one, for
+    every buffer position and across counter (and 64-bit carry) boundaries,
+    and the walk leaves g just past its last step's word."""
+    n = OFFSETS[-1] + 6
+    ref = np.random.Philox(counter=base, key=KEY).random_raw(n + 16)
+    for drawn in (1, 4, 5, 8):
+        g = np.random.Generator(np.random.Philox(counter=base, key=KEY))
+        g.bit_generator.random_raw(drawn)
+        nxt = drawn
+        state = g.bit_generator.state
+        if buffer_pos == 0:
+            if state["buffer_pos"] != 1:
+                continue
+            state["buffer_pos"] = 0  # lane 0 of the loaded counter, read again
+            g.bit_generator.state = state
+            nxt = drawn - 1
+        elif state["buffer_pos"] != buffer_pos:
+            g.bit_generator.random_raw((buffer_pos - state["buffer_pos"]) % 4)
+            nxt = drawn + (buffer_pos - state["buffer_pos"]) % 4
+        assert g.bit_generator.state["buffer_pos"] == buffer_pos
+        x = _read_unevenly(_SharedSteps(LAW, g, n), n)
+        for d in OFFSETS:
+            assert _same_bits(x[d : d + 6], _signed_uniform_steps(ref[nxt + d : nxt + d + 6]))
+        assert np.array_equal(g.bit_generator.random_raw(2), ref[nxt + n : nxt + n + 2])
+
+
+def _philox_ahead(g, words):
+    """The bit generator ``Philox(counter=, key=)`` placed ``words`` words
+    past g's next one, the constructor that makes (and drops) a
+    SeedSequence."""
+    state = g.bit_generator.state
+    counter = int.from_bytes(state["state"]["counter"].astype("<u8").tobytes(), "little")
+    w = 4 * (counter - 1) + state["buffer_pos"] + words
+    h = np.random.Philox(counter=w // 4, key=state["state"]["key"])
+    h.random_raw(w % 4)
+    return h
+
+
+@pytest.mark.parametrize("counter", [[1, 0, 0, 0], [2**64 - 1, 0, 0, 0], [2**64 - 1, 5, 0, 0]],
+                         ids=["counter1", "carry", "carry-high"])
+@pytest.mark.parametrize("buffer_pos", [0, 1, 2, 3])
+@pytest.mark.parametrize("words", [0, 1, 3, 2**14])
+def test_ahead_state_equals_the_philox_constructor(counter, buffer_pos, words):
+    """After ``words`` steps of a Uniform walk on g, the next steps read the
+    words of the bit generator that ``Philox(counter=, key=)`` places
+    ``words`` ahead of g; a low counter word of 2^64 - 1 carries into the
+    next word."""
+    g = np.random.Generator(np.random.Philox(key=KEY))
+    state = g.bit_generator.state
+    state["state"]["counter"] = np.array(counter, dtype=np.uint64)
+    state["buffer_pos"] = buffer_pos
+    # the buffer the counter loaded: words 4 (counter - 1) to 4 counter - 1
+    c = int.from_bytes(np.array(counter, dtype="<u8").tobytes(), "little")
+    state["buffer"] = np.random.Philox(counter=c - 1, key=KEY).random_raw(4)
+    g.bit_generator.state = state
+    want = _signed_uniform_steps(_philox_ahead(g, words).random_raw(9))
+    got = _read_unevenly(_SharedSteps(LAW, g, words + 9), words + 9)[words:]
+    assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 3, 256, 1000])
+def test_uniform_takes_one_word_per_variate_and_is_prefix_consistent(n):
+    """A Uniform walk step is ``Uniform.sample``'s value for one word, so
+    the walk is that law's sampler only while ``Uniform.sample`` takes one
+    word per variate, whatever the split of its draws; a numpy stream change
+    that broke either would part the walk from its law silently, so it
+    fails here."""
+    whole = np.random.Generator(np.random.Philox(key=KEY))
+    x = LAW.sample(whole, n)
+    words = np.random.Philox(key=KEY).random_raw(n + 1)
+    assert whole.bit_generator.random_raw() == words[n]
+    parts = np.random.Generator(np.random.Philox(key=KEY))
+    k = n // 3
+    y = np.concatenate([LAW.sample(parts, k), LAW.sample(parts, n - k)])
+    assert _same_bits(x, y)
