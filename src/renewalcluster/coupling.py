@@ -9,8 +9,9 @@ walk.  The walk is recurrent, so it eventually enters [0, epsilon); from
 that step on the two processes stay epsilon-close with identical marks.
 
 Draw order: first the two starting epochs, U X* for the stationary copy
-(X* the exact size-biased gap of ``stationary._size_biased_gaps``) and a
-delay draw for the delayed one; then the shared steps come in blocks.
+((X*, U) from ``stationary._straddle``, as a stationary row draws them,
+X* from the gap law's own ``size_biased()`` law) and a delay draw for the
+delayed one; then the shared steps come in blocks.
 A block starting at step s holds min(2^14, cap - s) steps while the walk
 runs, and 2^14 steps in the continuation past tau.  On Uniform(lo, hi)
 gaps a step is one raw 64-bit word w: the gap lo + (hi - lo) (w >> 11)
@@ -53,7 +54,7 @@ import numpy as np
 from .laws import Uniform
 from .patterns import csv_text
 from .process import ProcessSpec
-from .stationary import _size_biased_gaps
+from .stationary import _straddle
 from .stats import KsReport, two_sample_ks
 from .streams import RngStream
 
@@ -204,10 +205,8 @@ def _kept_indices(a, b):
 
 
 def _draw_starts(spec, g):
-    law = spec.interarrival
-    x_star = float(_size_biased_gaps(law, 1, g)[0])
-    u = g.random()
-    t0 = u * x_star
+    x_star, u = _straddle(spec.interarrival, 1, g)
+    t0 = float(u[0] * x_star[0])
     t_delayed = float(spec.delay.sample(g)) if spec.delay is not None else 0.0
     return t0, t_delayed
 

@@ -227,11 +227,9 @@ def estimate_forward_recurrence_cdf(
     Per row, the grid values x with (t, t + x] empty are a prefix of the
     grid; a block holds its length, the row's zeros in ``Block.grid_counts``
     on (t, t + x], and the CDF at j is the fraction of rows whose prefix is
-    at most j long.  Each block reads one delayed block on
-    (0, t + pad + guard] from its substream 0, with
-    pad = max(x_grid[-1], 1) + 10 E X: the pad is only the stream layout of
-    the pinned ``cdf.csv`` and criterion 4, and dropping it changes them.
-    The target is the Bartlett-Lewis limit, or None.
+    at most j long.  The rows are those of ``_delayed_rows`` on
+    (0, t + x_grid[-1]], the ones ``estimate_void_probability`` reads at
+    x = x_grid[-1].  The target is the Bartlett-Lewis limit, or None.
     """
     x_grid = np.asarray(x_grid, dtype=np.float64)
     _finite(t=t, x_grid=x_grid)
@@ -239,15 +237,10 @@ def estimate_forward_recurrence_cdf(
         raise ValueError("need t >= 0")
     if x_grid.size == 0 or np.any(np.diff(x_grid) < 0) or np.any(x_grid < 0):
         raise ValueError("x_grid must be sorted and nonnegative")
-    pad = float(max(x_grid[-1], 1.0) + 10.0 * spec.interarrival.mean())
-    t_max = t + pad + guard_band(spec)
-
-    def rows_of(stream, rows):
-        blk = delayed_block(spec, rows, t_max, stream.substream(0).generator())
-        return np.count_nonzero(blk.grid_counts(t, t + x_grid) == 0, axis=1)
-
-    block = block_size(spec, t_max)
-    k = replicate(rows_of, n_rep, rng, block)
+    fn, block = _delayed_rows(
+        spec, t + float(x_grid[-1]),
+        lambda b: np.count_nonzero(b.grid_counts(t, t + x_grid) == 0, axis=1))
+    k = replicate(fn, n_rep, rng, block)
     values = np.cumsum(np.bincount(k, minlength=x_grid.size + 1)[:x_grid.size]) / n_rep
     half = DEFAULT_Z * np.sqrt(np.maximum(values * (1.0 - values), 0.0) / n_rep)
     params = _bartlett_lewis_params(spec)

@@ -1,8 +1,10 @@
 """Parametric interarrival and count laws with closed-form moment accessors.
 
 Every interarrival variant here is continuous, hence nonarithmetic by
-construction, and has a finite strictly positive mean.  Laws are frozen
-dataclasses: immutable, hashable, safe to share.
+construction, and has a finite strictly positive mean.  Each names its
+exact size-biased law, density x f(x) / E X, as ``size_biased()``: the
+law of the gap that straddles a fixed time in the stationary process.
+Laws are frozen dataclasses: immutable, hashable, safe to share.
 
 The module needs numpy alone.  ``GammaLaw.cdf`` is the regularized lower
 incomplete gamma function, ``scipy.special.gammainc``, imported on its
@@ -45,9 +47,6 @@ class Exponential:
     def cdf(self, x):
         return -np.expm1(-self.rate * np.maximum(x, 0.0))
 
-    def sup_bound(self):
-        return None
-
     def size_biased(self):
         """The gap law reweighted by x, in closed form: Gamma(2, 1/rate)."""
         return GammaLaw(2.0, 1.0 / self.rate)
@@ -74,14 +73,23 @@ class Uniform:
     def cdf(self, x):
         return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
 
-    def sup_bound(self):
-        return self.hi
-
     def size_biased(self):
-        return None
+        return SizeBiasedUniform(self.lo, self.hi)
 
     def sample(self, rng, size=None):
         return rng.uniform(self.lo, self.hi, size)
+
+
+@dataclass(frozen=True)
+class SizeBiasedUniform:
+    """Uniform(lo, hi) reweighted by x: density 2x / (hi^2 - lo^2) on
+    [lo, hi], one word per draw."""
+
+    lo: float
+    hi: float
+
+    def sample(self, rng, size=None):
+        return np.sqrt(rng.uniform(self.lo**2, self.hi**2, size))
 
 
 @dataclass(frozen=True)
@@ -103,9 +111,6 @@ class GammaLaw:
         from scipy import special
 
         return special.gammainc(self.shape, np.maximum(x, 0.0) / self.scale)
-
-    def sup_bound(self):
-        return None
 
     def size_biased(self):
         """Gamma(k, theta) reweighted by x is Gamma(k + 1, theta)."""
@@ -142,14 +147,11 @@ class Mixture:
     def cdf(self, x):
         return sum(w * law.cdf(x) for w, law in self.components)
 
-    def sup_bound(self):
-        bounds = [law.sup_bound() for _, law in self.components]
-        if any(b is None for b in bounds):
-            return None
-        return max(bounds)
-
     def size_biased(self):
-        return None
+        """Component i with probability w_i E X_i / E X, then its own
+        size-biased law."""
+        p = np.array([w * law.mean() for w, law in self.components])
+        return Mixture(tuple(zip(p / p.sum(), (law.size_biased() for _, law in self.components))))
 
     def sample(self, rng, size=None):
         scalar = size is None

@@ -6,6 +6,10 @@ and split by an independent Uniform(0,1): the origin-side arrival sits at
 U * X_star with the size-biased mark, its predecessor at -(1 - U) * X_star
 with an ordinary mark.  Extending both directions with i.i.d. ordinary
 arrivals yields a shift-invariant marked renewal process.
+
+X* is one draw from the law the gap law's ``size_biased()`` names, which
+is exact for every gap law; ``_straddle`` draws (X*, U), for the stationary
+rows and for the coupling walk's start alike.
 """
 
 from __future__ import annotations
@@ -55,38 +59,17 @@ class TwoSidedMarkedPattern(MarkedPattern):
 
 
 def _size_biased_gaps(law, n, g):
-    """n exact draws from the gap law reweighted proportionally to the gap.
+    """n exact draws from the gap law reweighted proportionally to the gap,
+    from the law's own ``size_biased()`` law."""
+    return law.size_biased().sample(g, n)
 
-    From the law's closed-form size-biased law when it has one
-    (Exponential, Gamma), else by rejection when the law has a finite
-    essential sup, else (a mixture with an unbounded component) by
-    composition: component i with probability w_i E X_i / E X, then that
-    component's own size-biased draw.
-    """
-    exact = law.size_biased()
-    if exact is not None:
-        return np.asarray(exact.sample(g, n), dtype=np.float64)
-    out = np.empty(n)
-    bound = law.sup_bound()
-    if bound is not None:
-        filled = 0
-        # acceptance probability is mean/bound per candidate
-        rate = max(law.mean() / bound, 1e-3)
-        while filled < n:
-            m = max(32, int((n - filled) / rate * 1.2) + 16)
-            xs = np.asarray(law.sample(g, m), dtype=np.float64)
-            acc = xs[g.random(m) * bound < xs]
-            take = min(acc.size, n - filled)
-            out[filled : filled + take] = acc[:take]
-            filled += take
-        return out
-    p = np.array([w * comp.mean() for w, comp in law.components])
-    which = g.choice(p.size, size=n, p=p / p.sum())
-    for i, (_, comp) in enumerate(law.components):
-        mask = which == i
-        if mask.any():
-            out[mask] = _size_biased_gaps(comp, int(mask.sum()), g)
-    return out
+
+def _straddle(law, rows, g):
+    """(X*, U) for ``rows`` rows: the size-biased straddling gaps, then as
+    many Uniform(0, 1) splits.  At rows = 1, ``g.random(1)`` reads the word
+    ``g.random()`` would."""
+    x_star = _size_biased_gaps(law, rows, g)
+    return x_star, g.random(rows)
 
 
 def sample_size_biased_gaps(law, n: int, rng: RngStream) -> np.ndarray:
@@ -102,8 +85,7 @@ def stationary_block(spec, rows, window_lo, window_hi, g):
     """
     _window(window_lo, window_hi)
     guard = guard_band(spec)
-    x_star = _size_biased_gaps(spec.interarrival, rows, g)
-    u = g.random(rows)
+    x_star, u = _straddle(spec.interarrival, rows, g)
     t0 = u * x_star
     tm1 = -(1.0 - u) * x_star
     right = _gaps_until(spec, np.maximum(window_hi + guard - t0, 0.0), g)

@@ -508,10 +508,11 @@ class TestWalkKernel:
     def test_uniform_walk_equals_numpy_reference(self, cap):
         # every step of the gated preset's Uniform(0, 5) gaps is one word:
         # Uniform.sample's gap for it, negative when its bit 0 is set; V
-        # sums each block of 2^14 steps on from the block's starting V
+        # sums each block of 2^14 steps on from the block's starting V;
+        # seeds 123 and 124 give the walks that couple within 300 steps
         spec = gated_cluster_preset()
         outcomes = set()
-        for s in range(111, 119):
+        for s in range(111, 125):
             g = RngStream(s).generator()
             t0, t_delayed = _draw_starts(spec, g)
             gap = spec.interarrival.sample(copy.deepcopy(g), cap)

@@ -214,42 +214,43 @@ class TestForwardRecurrenceCdf:
     HEAVY = ProcessSpec(Mixture(((0.99, Exponential(10.0)), (0.01, Exponential(0.001)))),
                         EmptyCluster(), include_parents=True)
 
-    # CDF counts (values * n_rep) and half-widths recorded from the earlier
-    # first-point estimator, which compared (p - t) <= x where this one
-    # compares p <= t + x; the two can differ only where p == fl(t + x).
-    # Each case runs on stream_for(7, "recurrence-<name>").
+    # CDF counts (values * n_rep) and half-widths recorded when the CDF came
+    # to read the rows of ``_delayed_rows`` on (0, t + x_grid[-1]], those of
+    # the void estimator, in place of its own block on a padded horizon
+    # from each block's substream 0; that is stream layout alone.  Each case
+    # runs on stream_for(7, "recurrence-<name>").
     RECORDED = {
         "criterion-4-spec": (
             BL_SPEC, 200.0, np.linspace(0.0, 3.0, 20), 3000,
-            [0, 787, 1351, 1725, 2001, 2205, 2369, 2484, 2573, 2661, 2731, 2774, 2812, 2846,
-             2869, 2891, 2910, 2924, 2935, 2944],
-            [0.0, 0.02409447377857974, 0.027250681948653446, 0.027076281133124616,
-             0.02581342673881172, 0.02417281530976481, 0.022322178806439726,
-             0.02066997822930639, 0.019136971198877493, 0.017340501722845278,
-             0.01564863146305985, 0.014455956096594466, 0.013274737913294808,
-             0.012086962673338027, 0.011192839973244797, 0.010248886118338258,
-             0.009343446901438467, 0.008606664084688482, 0.007974438329228367,
-             0.00741314148432814],
+            [0, 825, 1329, 1731, 2002, 2230, 2364, 2499, 2591, 2670, 2728, 2784, 2832, 2859,
+             2885, 2901, 2917, 2932, 2944, 2952],
+            [0.0, 0.0244565942027912, 0.027207590852554364, 0.027059434583893285,
+             0.02580694996830634, 0.023924185809900966, 0.02238678181427603,
+             0.020428729769616124, 0.0187946712306086, 0.017137677789012137,
+             0.015727004376761222, 0.014157965955602515, 0.012593331568731131,
+             0.01159193685283008, 0.010516257255633614, 0.009784324197408836,
+             0.00898352195225606, 0.00815221851195529, 0.00741314148432814,
+             0.006872554110372653],
         ),
         "t-zero": (
             BL_SPEC, 0.0, np.linspace(0.0, 3.0, 7), 500,
-            [0, 196, 309, 389, 436, 455, 473],
-            [0.0, 0.06549845799711623, 0.06518717665308109, 0.05575740309591184,
-             0.044822851314926415, 0.03839531221386277, 0.030323456267384842],
+            [0, 191, 323, 399, 444, 473, 480],
+            [0.0, 0.06518717665308109, 0.06415849125408109, 0.05386583332688727,
+             0.0423108496723949, 0.030323456267384842, 0.026290682760247985],
         ),
         "zero-and-repeats": (
             BL_SPEC, 50.0, [0.0, 0.0, 0.5, 0.5, 0.5, 1.25, 3.0, 3.0], 400,
-            [0, 0, 227, 227, 227, 353, 393, 393],
-            [0.0, 0.0, 0.07431341988497098, 0.07431341988497098, 0.07431341988497098,
-             0.048302270909347536, 0.019668741062915013, 0.019668741062915013],
+            [0, 0, 236, 236, 236, 335, 392, 392],
+            [0.0, 0.0, 0.07377499576414763, 0.07377499576414763, 0.07377499576414763,
+             0.05533632961265139, 0.021000000000000008, 0.021000000000000008],
         ),
         "heavy-tailed": (
             HEAVY, 20_000.0, np.linspace(0.0, 50.0, 11), 300,
-            [0, 5, 8, 8, 9, 11, 13, 14, 16, 18, 18],
-            [0.0, 0.022173557826083448, 0.027904599381941803, 0.027904599381941803,
-             0.029546573405388313, 0.03255252166371549, 0.03526565846069894,
-             0.03653309002352068, 0.03891871871820379, 0.04113392760240626,
-             0.04113392760240626],
+            [0, 4, 4, 4, 5, 5, 6, 6, 6, 6, 9],
+            [0.0, 0.01986621923433512, 0.01986621923433512, 0.01986621923433512,
+             0.022173557826083448, 0.022173557826083448, 0.02424871130596428,
+             0.02424871130596428, 0.02424871130596428, 0.02424871130596428,
+             0.029546573405388313],
         ),
         "no-points": (
             ProcessSpec(Exponential(1.0), EmptyCluster()), 20.0, [0.0, 1.0, 2.0], 50,
@@ -264,6 +265,20 @@ class TestForwardRecurrenceCdf:
                                               stream_for(7, "recurrence-" + name))
         assert np.array_equal(rep.values, np.array(counts) / n_rep)
         assert np.array_equal(rep.half_widths, half)
+
+    @pytest.mark.parametrize("spec, t, x, n_rep", [
+        (BL_SPEC, 0.0, 1.0, 500),
+        (BL_SPEC, 200.0, 2.5, 3000),
+        (SPEC, 50.0, 1.0, 2000),
+    ], ids=["bl-t0", "bl-t200", "gated"])
+    def test_one_point_grid_reads_the_void_rows(self, spec, t, x, n_rep):
+        # with grid [x], the CDF's rows with a point in (t, t + x] are the
+        # void estimator's rows that are not empty, row for row
+        rng = stream_for(7, "recurrence-void")
+        with_point = estimate_forward_recurrence_cdf(spec, t, [x], n_rep, rng).values[0] * n_rep
+        empty = estimate_void_probability(spec, t, x, n_rep, rng).estimate * n_rep
+        assert 0 < round(empty) < n_rep
+        assert round(with_point) == n_rep - round(empty)
 
     def test_bartlett_lewis_target_attached(self):
         grid = np.array([0.0, 1.0, 2.5])

@@ -599,16 +599,18 @@ class TestCli:
     )
 
     def test_coupling_agreement_uses_the_configured_cap(self, tmp_path):
-        # seed 30: the one run couples at tau 20, and its agreement walks
-        # the same walk at the configured cap; an agreement walked on
-        # another substream at the default cap of 10^7 was once capped
-        # there and failed the experiment
-        cfg = self._write(tmp_path, self.COUPLING_CONFIG + "min_finite = 1\nn_rep = 1\nseed = 30\n")
+        # seed 1249 (the first of seeds 0-1499 whose one walk couples
+        # between 10^7 and 2 10^7 steps): the run couples at tau
+        # 12,276,611, past the agreement's default cap of 10^7, so only an
+        # agreement that reads on at the configured cap passes; one walked
+        # at the default cap is capped and the kind exits 1
+        text = self.COUPLING_CONFIG.replace("steps_cap = 100\n", "steps_cap = 20000000\n")
+        cfg = self._write(tmp_path, text + "min_finite = 1\nn_rep = 1\nseed = 1249\n")
         out = tmp_path / "cpl"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
-        assert (out / "coupling.csv").read_text() == (
-            "epsilon,tau,coupling_time,capped\n0.1,20,27.761271688135867,false\n"
-        )
+        row = (out / "coupling.csv").read_text().splitlines()[1]
+        assert row == "0.1,12276611,15344639.058906183,false"
+        assert 10**7 < int(row.split(",")[1]) <= 2 * 10**7
 
     def test_coupling_below_min_finite_exit_one(self, tmp_path):
         # negative control: at a cap of 100 steps most walks are capped

@@ -52,9 +52,6 @@ class Pareto:
     def cdf(self, x):
         return 1.0 - (self.x_m / np.maximum(x, self.x_m)) ** self.alpha
 
-    def sup_bound(self):
-        return None
-
     def size_biased(self):
         return Pareto(self.alpha - 1.0, self.x_m)
 

@@ -33,14 +33,18 @@ class LatticeGaps:
     def cdf(self, x):
         return np.where(x < 1.0, 0.0, np.where(x < 2.0, 0.5, 1.0))
 
-    def sup_bound(self):
-        return 2.0
-
     def size_biased(self):
-        return None
+        return SizeBiasedLattice()
 
     def sample(self, rng, size=None):
         return 1.0 + rng.integers(0, 2, size)
+
+
+class SizeBiasedLattice:
+    """LatticeGaps reweighted by x: P(X* = 1) = 1/3, P(X* = 2) = 2/3."""
+
+    def sample(self, rng, size=None):
+        return 1.0 + (rng.random(size) < 2.0 / 3.0)
 
 
 LATTICE = LatticeGaps()

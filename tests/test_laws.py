@@ -12,6 +12,7 @@ from renewalcluster import (
     Uniform,
 )
 from renewalcluster.errors import LawError
+from renewalcluster.laws import SizeBiasedUniform
 
 ALL_LAWS = [
     Exponential(1.0),
@@ -88,11 +89,27 @@ def test_gamma_cdf_matches_scipy_stats_bitwise(shape, scale):
         assert got.view(np.uint64) == want.view(np.uint64)
 
 
-def test_sup_bounds():
-    assert Uniform(0.0, 5.0).sup_bound() == 5.0
-    assert Exponential(1.0).sup_bound() is None
-    assert Mixture(((0.5, Uniform(0, 1)), (0.5, Uniform(0, 3)))).sup_bound() == 3.0
-    assert Mixture(((0.5, Uniform(0, 1)), (0.5, Exponential(1)))).sup_bound() is None
+def test_size_biased_laws():
+    assert Exponential(4.0).size_biased() == GammaLaw(2.0, 0.25)
+    assert GammaLaw(2.5, 0.7).size_biased() == GammaLaw(3.5, 0.7)
+    assert Uniform(0.2, 3.0).size_biased() == SizeBiasedUniform(0.2, 3.0)
+    # component i with probability w_i E X_i / E X: 0.25 / 0.75 and 0.5 / 0.75
+    mix = Mixture(((0.5, Uniform(0.0, 1.0)), (0.5, Exponential(1.0)))).size_biased()
+    assert [law for _, law in mix.components] == [SizeBiasedUniform(0.0, 1.0), GammaLaw(2.0, 1.0)]
+    assert [w for w, _ in mix.components] == pytest.approx([1.0 / 3.0, 2.0 / 3.0], rel=1e-15)
+
+
+def test_size_biased_uniform_is_the_square_root_of_one_word():
+    """A size-biased Uniform(lo, hi) draw is sqrt of the Uniform(lo^2, hi^2)
+    draw of the same word, and reads one word per variate."""
+    law = Uniform(0.2, 3.0).size_biased()
+    x = law.sample(RngStream(3).generator(), 1000)
+    g = RngStream(3).generator()
+    assert np.array_equal(x, np.sqrt(g.uniform(0.2**2, 3.0**2, 1000)))
+    h = RngStream(3).generator()
+    h.bit_generator.random_raw(1000)
+    assert g.bit_generator.random_raw() == h.bit_generator.random_raw()
+    assert isinstance(law.sample(g), float)
 
 
 def test_invalid_parameters():

@@ -7,6 +7,17 @@ estimator (one ``report.csv`` format, no ``grid``, no ``renewal.csv``), and
 Uniform gaps came to read one word (gap from the top 53 bits, sign from
 bit 0) instead of a gap and a sign word.
 
+``gated/stationary.csv``, ``stationarity_check/stationarity.csv`` and
+``coupling/coupling.csv`` were re-recorded when the size-biased gap X* of
+a Uniform law came to be drawn as the square root of one Uniform(lo^2,
+hi^2) word instead of by rejection: the gated preset's stationary rows and
+walk starts read other words.  Two of the coupling kind's ten walks are
+now capped at 10^5 steps, so ``coupling/status`` is 1 (the kind's
+min_finite of 0.99 needs all ten).  ``recurrence_cdf/cdf.csv`` and its
+manifest (block 442 -> 511) were re-recorded when the CDF came to read the
+void estimator's rows on (0, t + x_grid[-1]] instead of its own block on a
+padded horizon from each block's substream 0.
+
 The marked-path CSVs, both ``flatten`` outputs, the stationary path with
 its origin index, and every artifact plus the manifest of each experiment
 kind must hash exactly as recorded there.  A refactor that changes one
@@ -72,9 +83,9 @@ PINS = {
     "gated/delayed.csv": "a2c290c08c0607c3dbfbc67c789a1c236db12dafbfd1a0de5dac718d7577663d",
     "gated/flatten": "25294fced5f8c910ed3116b298831d2ed7285293582f60deecc089c873cd7e37",
     "gated/flatten_parents": "c28bf6b04e3eabd8d766c807aab7e437ca9884338177327678e8a451ee1ef599",
-    "gated/stationary.csv": "0398e2b2129017ddf2f28bcc3186df9ad0a3cb2ada0a9642f1c3468b3efe2f62",
-    "coupling/status": "0",
-    "coupling/coupling.csv": "545a86f45d7442a26ff2897f2f17e18418ab302dc8385ffdb7d533280bc81eb5",
+    "gated/stationary.csv": "448e377f189ab84f6cad737e29b81a7aa2c2b0a466041f786547ec29d32c788f",
+    "coupling/status": "1",
+    "coupling/coupling.csv": "3c0a8615ef38cf92ce41ec491a69679dc89d1f9b659ae309bf95fa7c79593ea9",
     "coupling/manifest.txt": "603118e644a28c5e3a93bbf93f028e33645d4ce3cf6a9e17be904f98173b1444",
     "elementary/status": "0",
     "elementary/manifest.txt": "584b386cf72b3b81ab32b1cf8a3254464ed370021c5d2c54c073692b9e04dc88",
@@ -86,14 +97,14 @@ PINS = {
     "key_renewal/manifest.txt": "ec7ba61afdbbfe82c0ec8d7ce58f3d62576a5d30539f5642762d8c3a83cd30a8",
     "key_renewal/report.csv": "618dfc9b78566b133fc860b6b19d6e2bf7a09c0058b012ea77352fe798de4aed",
     "recurrence_cdf/status": "1",
-    "recurrence_cdf/cdf.csv": "273e844d71d30d3cf71bf971357d7cd0d9ace1c5d09fce5675c3d52ad0a4e3bc",
-    "recurrence_cdf/manifest.txt": "8b8b88069ab98612f18f93ae4ae4fac21ed535507340082aa5efdeca9cc67004",
+    "recurrence_cdf/cdf.csv": "7cd6f5b70114ec9906f0a070b2efda68200f15fff30846cdd33cd07aca70161e",
+    "recurrence_cdf/manifest.txt": "2c9ee31e194fc8885d1ae8e7dd429eaf6441aef97273a14bf0efb3df8d69daa6",
     "renewal_function/status": "0",
     "renewal_function/manifest.txt": "4b51966f282a977ca173642a06fa86f8ef7e1bf398f1d0aa83876f1844ab2263",
     "renewal_function/renewal.csv": "85661946cae0edb48c4450b411b06ffeaaccc073ae2fb7e23579209f3b38aa2d",
     "stationarity_check/status": "0",
     "stationarity_check/manifest.txt": "dcc964061890399676d05f318ee0908f71254c1ceefc932e27f8475d5c21a860",
-    "stationarity_check/stationarity.csv": "09508d634b9309fac8fea0fdbee0b1a457e64e3d4a0ee684bf02da7373f03519",
+    "stationarity_check/stationarity.csv": "36bfc9ecbf8be290f8bb1e4ce7313fef920eac127f8b798cd435921cbca2eede",
     "void_prob/status": "0",
     "void_prob/manifest.txt": "e7d1ca86fb85515a063fc0984edb918c2766cd832e2229eb4cbb94be1edcd47c",
     "void_prob/report.csv": "32123e693c39daff76a2d6bb991e825f9f337d9350a8f25203d8627aa609528f",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from renewalcluster import (
     EmptyCluster,
@@ -16,6 +16,8 @@ from renewalcluster import (
     sample_stationary_marked_renewal,
     two_sample_ks,
 )
+from renewalcluster import laws
+from renewalcluster.config import LAWS
 from renewalcluster.stationary import TwoSidedMarkedPattern, stationary_block
 
 # E X = 0.75; composition draws U(0,1)'s X* with probability 1/3, not 1/2
@@ -29,6 +31,29 @@ MIX_TARGETS = [
     # E[X 1{X <= 1/2}] = 1/8 for U(0,1), 1 - 1.5 e^(-1/2) for Exp(1)
     (lambda x: (x <= 0.5).astype(float), (0.5 / 8.0 + 0.5 * (1.0 - 1.5 * np.exp(-0.5))) / 0.75),
 ]
+
+
+EXACTNESS_LAWS = {
+    "exp": Exponential(0.4),
+    "uniform0-5": Uniform(0.0, 5.0),
+    "uniform0.2-3": Uniform(0.2, 3.0),
+    "gamma": GammaLaw(2.5, 0.7),
+    "uniform-mixture": Mixture(((0.5, Uniform(0.0, 1.0)), (0.5, Uniform(0.5, 3.0)))),
+    "mixed-mixture": MIX,
+}
+
+
+def partial_mean(law, x):
+    """E[X; X <= x], in closed form for each gap law."""
+    x = np.maximum(x, 0.0)
+    if isinstance(law, Exponential):
+        return -np.expm1(-law.rate * x) / law.rate - x * np.exp(-law.rate * x)
+    if isinstance(law, Uniform):
+        m = np.clip(x, law.lo, law.hi)
+        return (m**2 - law.lo**2) / (2.0 * (law.hi - law.lo))
+    if isinstance(law, GammaLaw):
+        return law.mean() * special.gammainc(law.shape + 1.0, x / law.scale)
+    return sum(w * partial_mean(comp, x) for w, comp in law.components)
 
 
 def mix_equilibrium_cdf(x):
@@ -71,7 +96,7 @@ class TestSizeBiasedGaps:
             assert abs(vals.mean() - target) < 4 * se + 1e-12
 
     def test_mixture_by_composition(self):
-        # no essential sup and no closed form: exact by composition
+        # the components' own size-biased laws, weighted w_i E X_i / E X
         xs = sample_size_biased_gaps(MIX, 100_000, RngStream(67))
         assert np.all(np.abs(z_scores(xs, MIX_TARGETS)) < 4)
         # negative control: the components' X* mixed with the plain weights
@@ -92,6 +117,25 @@ class TestSizeBiasedGaps:
         # negative control: draws of the plain law must be rejected
         plain = law.sample(RngStream(68).generator(), 20_000)
         assert stats.kstest(plain, stats.gamma(shape, scale=scale).cdf).pvalue < 1e-3
+
+    @pytest.mark.parametrize("law", list(EXACTNESS_LAWS.values()), ids=list(EXACTNESS_LAWS))
+    def test_draws_follow_the_exact_size_biased_law(self, law):
+        # KS at alpha = 0.01 against F*(x) = E[X; X <= x] / E X, and the
+        # mean against E X^2 / E X at 4 SE
+        xs = sample_size_biased_gaps(law, 20_000, RngStream(74))
+        assert stats.kstest(xs, lambda x: partial_mean(law, x) / law.mean()).pvalue > 0.01
+        target = law.second_moment() / law.mean()
+        assert abs(xs.mean() - target) < 4 * xs.std() / np.sqrt(xs.size)
+        # negative control: plain X draws must be rejected at the same alpha
+        plain = law.sample(RngStream(75).generator(), 20_000)
+        assert stats.kstest(plain, lambda x: partial_mean(law, x) / law.mean()).pvalue < 0.01
+
+    def test_every_gap_law_names_its_size_biased_law(self):
+        # every gap law of laws.py (those with a cdf) and of config.LAWS is
+        # in EXACTNESS_LAWS, whose size-biased laws the test above samples
+        classes = [getattr(laws, n) for n in laws.__all__] + [cls for cls, _ in LAWS.values()]
+        gap_laws = {cls for cls in classes if hasattr(cls, "cdf")}
+        assert gap_laws == {type(law) for law in EXACTNESS_LAWS.values()}
 
 
 class TestStationaryConstruction:

@@ -29,6 +29,18 @@ caps and k_checks are those of 6f4976f; every Uniform agreement now has a
 continuation hash, after the cap for the capped ones.  Under the new words
 the agreement walks at substreams 0 and 6, cap 300, traded places: 0
 couples (tau 49) and 6 is capped.  No row of another law changed.
+
+The Uniform and mixture rows were recorded again when X* of a Uniform
+law (and so of the mixture's Uniform component) came to be drawn as the
+square root of one Uniform(lo^2, hi^2) word instead of by rejection: their
+walks start from other words.  Seeds, substreams, caps and k_checks are
+unchanged, every one of their agreements has a continuation hash, and the
+equal-start rows, which draw no start, did not change.  Walks traded
+places again: at cap 300 the agreements at Uniform substreams 0 and 5 and
+at mixture substreams 0 and 1 are now capped, and Uniform substream 6
+couples (tau 93); at caps 2^14 to 20,000 Uniform substream 2 is capped
+and mixture substream 0 couples (tau 60).  No Exponential or Gamma row
+changed.
 """
 
 import hashlib

@@ -6,7 +6,8 @@ gaps with ``np.where(g.random(n) < 0.5, x, -x)``.  It holds criterion 8's
 gated preset at epsilon 0.1: substreams 0-39 at a cap of 10^5, substreams
 335 and 102 at a cap of 10^7, eight post-coupling agreements that draw
 beyond the walk's last block, and three dense diagnostic paths of 50,000
-steps.  The draws, tau, V_tau, L_tau and the stored path must match
+steps; since the last re-record below, also substreams 307 and 51 at a
+cap of 10^7.  The draws, tau, V_tau, L_tau and the stored path must match
 exactly; the coupling time matches to 1e-12 relative and the agreement's
 max gap to 1e-6.
 
@@ -16,6 +17,15 @@ came to read one word, its gap from the top 53 bits and its sign from bit
 substreams, caps and sizes unchanged.  Substream 335 (tau 2,049,890 before,
 past the eighth thinning octave) now couples at tau 393, and substream 102
 (capped at 10^7 before) at tau 225; substream 33 is capped at 10^5.
+
+Every entry was recorded again when the walk's start U X* on Uniform gaps
+came to draw X* as the square root of one Uniform(lo^2, hi^2) word instead
+of by rejection, with the same substreams, caps and sizes.  Substream 335
+now couples at tau 7,177 and 102 at tau 2; substreams 8 and 14 are capped
+at 10^5.  No walk then coupled past 10^5 steps or was capped at 10^7, so
+two walks at a cap of 10^7 were added: substream 307, which couples at
+tau 5,829,405 (in the tenth thinning octave), and substream 51, which is
+capped.
 """
 
 import hashlib
