@@ -4,8 +4,6 @@ probabilities and the key renewal theorem.
 Run: python demos/limit_theorems.py
 """
 
-import numpy as np
-
 from renewalcluster import (
     Exponential,
     PoissonCount,
@@ -28,7 +26,7 @@ def main():
 
     bl = bartlett_lewis_preset(1.0, PoissonCount(1.0), Exponential(1.0))
     void = estimate_void_probability(bl, 100.0, 1.0, 20_000, stream_for(0, "demo-void"))
-    closed = bartlett_lewis_void_probability(1.0, 1.0, lambda y: np.exp(-y), 1.0)
+    closed = bartlett_lewis_void_probability(1.0, 1.0, Exponential(1.0), 1.0)
     print(f"void probability: empirical {void.estimate:.4f}, closed form {closed:.5f}")
 
     # sum of g(t - y) over the points y against its key-renewal limit

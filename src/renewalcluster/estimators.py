@@ -9,9 +9,11 @@ estimators (window mean, elementary ratio, void probability, key renewal
 sum) report an ``ExperimentReport``: a normal-approximation confidence
 interval next to the closed-form limit.
 
-The Bartlett-Lewis void-probability and recurrence-CDF targets integrate
-the step survival function with ``scipy.integrate.quad``, imported on
-first use; no other estimator or target needs scipy.
+The Bartlett-Lewis void-probability and recurrence-CDF targets read the
+integral of the step survival function from the step law's
+``limited_mean``, exactly.  A plain survival callable in its place is
+integrated by a short adaptive Gauss-Legendre rule in numpy, so no target
+needs ``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -45,8 +47,12 @@ __all__ = [
 
 # 99.7% two-sided normal CI; acceptance checks widen to 4 SE.
 DEFAULT_Z = 3.0
-# absolute and relative tolerance of the void probability's quadrature
+# absolute and relative tolerance of a survival callable's quadrature
 _QUAD_TOL = 1e-9
+# panels the quadrature may evaluate before it gives up
+_QUAD_PANELS = 2000
+# Gauss-Legendre nodes and weights on [-1, 1] of the quadrature's two orders
+_GAUSS = [[v.tolist() for v in np.polynomial.legendre.leggauss(n)] for n in (8, 16)]
 
 
 @dataclass(frozen=True)
@@ -248,41 +254,64 @@ def estimate_forward_recurrence_cdf(
     return CdfReport(x_grid, values, half, n_rep, target, rng.seed, block)
 
 
-def bartlett_lewis_void_probability(
-    rate: float, mean_size: float, step_survival, x: float
-) -> float:
+def _integrate(survival, x: float) -> float:
+    """Integral of ``survival`` over (0, x], x > 0, by adaptive
+    Gauss-Legendre, calling it on one float at a time.
+
+    A panel counts once its order-8 and order-16 sums agree within
+    _QUAD_TOL, relative or per unit of x; otherwise it is halved.  Raises
+    QuadratureError after _QUAD_PANELS panels.
+    """
+    total, panels = 0.0, [(0.0, x)]
+    for _ in range(_QUAD_PANELS):
+        a, b = panels.pop()
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        low, high = (half * sum(w * survival(mid + half * u) for u, w in zip(*rule))
+                     for rule in _GAUSS)
+        if abs(high - low) <= _QUAD_TOL * max(abs(high), (b - a) / x):
+            total += high
+        else:
+            panels += [(a, mid), (mid, b)]
+        if not panels:
+            return float(total)
+    raise QuadratureError(f"no convergence in {_QUAD_PANELS} panels on (0, {x}]")
+
+
+def _limited_mean(step, x):
+    """Integral of P(step > y) over (0, x] at each x: ``step.limited_mean``,
+    or ``step`` itself integrated when it is a survival callable."""
+    if hasattr(step, "limited_mean"):
+        return step.limited_mean(x)
+    return np.array([_integrate(step, v) if v > 0 else 0.0
+                     for v in np.ravel(x).tolist()]).reshape(np.shape(x))
+
+
+def bartlett_lewis_void_probability(rate: float, mean_size: float, step, x: float) -> float:
     """Long-run probability of an empty length-x window for Poisson parents
     with forward-running step clusters.
 
-    Evaluates exp(-rate * (x + mean_size * integral_0^x P(step > y) dy))
-    with the inner integral by adaptive quadrature.
+    Evaluates exp(-rate * (x + mean_size * integral_0^x P(step > y) dy)).
+    ``step`` is the step law, whose ``limited_mean`` gives the integral, or
+    a survival function y -> P(step > y) on floats.
     """
+    _finite(x=x)
     if not x > 0:
         raise ValueError("x must be positive")
-    from scipy import integrate
-
-    integral, err = integrate.quad(step_survival, 0.0, x, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
-    if err > max(_QUAD_TOL, abs(integral) * 1e-6):
-        raise QuadratureError(f"quadrature error {err} above tolerance")
-    return float(np.exp(-rate * (x + mean_size * integral)))
+    return float(np.exp(-rate * (x + mean_size * _limited_mean(step, x))))
 
 
-def bartlett_lewis_recurrence_cdf(rate, mean_size, step_survival, x_grid):
-    """Closed-form limiting forward-recurrence CDF for the same model."""
-    return np.array(
-        [
-            0.0
-            if x <= 0
-            else 1.0 - bartlett_lewis_void_probability(rate, mean_size, step_survival, x)
-            for x in np.asarray(x_grid, dtype=np.float64)
-        ]
-    )
+def bartlett_lewis_recurrence_cdf(rate, mean_size, step, x_grid):
+    """Closed-form limiting forward-recurrence CDF for the same model: one
+    minus the void probability at each grid value, 0 at x <= 0."""
+    x = np.asarray(x_grid, dtype=np.float64)
+    _finite(x_grid=x)
+    return np.where(x > 0, 1.0 - np.exp(-rate * (x + mean_size * _limited_mean(step, x))), 0.0)
 
 
 def _bartlett_lewis_params(spec: ProcessSpec):
-    """(rate, mean cluster size, step survival) when the spec is Poisson
-    parents with cumulative-step clusters, parents included and no delay,
-    the model of the closed-form void and recurrence targets; else None."""
+    """(rate, mean cluster size, step law) when the spec is Poisson parents
+    with cumulative-step clusters, parents included and no delay, the model
+    of the closed-form void and recurrence targets; else None."""
     from .clusters import CumulativeStepCluster
     from .laws import Exponential
 
@@ -292,8 +321,7 @@ def _bartlett_lewis_params(spec: ProcessSpec):
         and spec.include_parents
         and spec.delay is None
     ):
-        step = spec.cluster.step
-        return spec.interarrival.rate, spec.cluster.size.mean(), lambda y: 1.0 - step.cdf(y)
+        return spec.interarrival.rate, spec.cluster.size.mean(), spec.cluster.step
     return None
 
 

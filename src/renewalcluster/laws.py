@@ -4,12 +4,15 @@ Every interarrival variant here is continuous, hence nonarithmetic by
 construction, and has a finite strictly positive mean.  Each names its
 exact size-biased law, density x f(x) / E X, as ``size_biased()``: the
 law of the gap that straddles a fixed time in the stationary process.
-Laws are frozen dataclasses: immutable, hashable, safe to share.
+Each gap law's ``limited_mean(x)`` is E min(X, x), the integral of
+P(X > y) over (0, x), in closed form and elementwise over an array; it is 0
+for x <= 0.  Laws are frozen dataclasses: immutable, hashable, safe to share.
 
 The module needs numpy alone.  ``GammaLaw.cdf`` is the regularized lower
 incomplete gamma function, ``scipy.special.gammainc``, imported on its
 first call so that importing the package does not load scipy; it gives
-``scipy.stats.gamma.cdf``'s values to the bit.
+``scipy.stats.gamma.cdf``'s values to the bit.  ``GammaLaw.limited_mean``
+imports ``scipy.special`` the same way.
 """
 
 from __future__ import annotations
@@ -47,6 +50,9 @@ class Exponential:
     def cdf(self, x):
         return -np.expm1(-self.rate * np.maximum(x, 0.0))
 
+    def limited_mean(self, x):
+        return self.cdf(x) / self.rate
+
     def size_biased(self):
         """The gap law reweighted by x, in closed form: Gamma(2, 1/rate)."""
         return GammaLaw(2.0, 1.0 / self.rate)
@@ -72,6 +78,12 @@ class Uniform:
 
     def cdf(self, x):
         return np.clip((x - self.lo) / (self.hi - self.lo), 0.0, 1.0)
+
+    def limited_mean(self, x):
+        """x up to lo, then x - (x - lo)^2 / (2 (hi - lo)), up to the mean
+        at hi."""
+        y = np.clip(x, 0.0, self.hi)
+        return y - np.maximum(y - self.lo, 0.0) ** 2 / (2.0 * (self.hi - self.lo))
 
     def size_biased(self):
         return SizeBiasedUniform(self.lo, self.hi)
@@ -112,6 +124,14 @@ class GammaLaw:
 
         return special.gammainc(self.shape, np.maximum(x, 0.0) / self.scale)
 
+    def limited_mean(self, x):
+        """k theta P(k + 1, x / theta) + x Q(k, x / theta)."""
+        from scipy import special
+
+        y = np.maximum(x, 0.0) / self.scale
+        k = self.shape
+        return self.scale * (k * special.gammainc(k + 1.0, y) + y * special.gammaincc(k, y))
+
     def size_biased(self):
         """Gamma(k, theta) reweighted by x is Gamma(k + 1, theta)."""
         return GammaLaw(self.shape + 1.0, self.scale)
@@ -146,6 +166,9 @@ class Mixture:
 
     def cdf(self, x):
         return sum(w * law.cdf(x) for w, law in self.components)
+
+    def limited_mean(self, x):
+        return sum(w * law.limited_mean(x) for w, law in self.components)
 
     def size_biased(self):
         """Component i with probability w_i E X_i / E X, then its own

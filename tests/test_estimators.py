@@ -12,6 +12,7 @@ from renewalcluster import (
     ProcessSpec,
     RngStream,
     StepFunction,
+    Uniform,
     bartlett_lewis_preset,
     bartlett_lewis_recurrence_cdf,
     bartlett_lewis_void_probability,
@@ -30,6 +31,7 @@ from renewalcluster import (
     stream_for,
     theoretical_blackwell_limit,
 )
+from renewalcluster.errors import QuadratureError
 from renewalcluster.estimators import _report, _window_rows
 from renewalcluster.stationary import stationary_rows
 
@@ -62,6 +64,13 @@ NON_FINITE = {
                                                                                rng),
     "stationary_rows-lo-inf": lambda rng: stationary_rows(SPEC, -INF, 1.0),
 }
+# the Bartlett-Lewis targets, with the step law and with a survival callable
+for _form, _step in {"law": Exponential(1.0), "callable": lambda y: float(np.exp(-y))}.items():
+    for _name, _v in {"inf": INF, "nan": NAN}.items():
+        NON_FINITE[f"bl_void-x-{_name}-{_form}"] = (
+            lambda rng, s=_step, v=_v: bartlett_lewis_void_probability(1.0, 1.0, s, v))
+        NON_FINITE[f"bl_cdf-grid-{_name}-{_form}"] = (
+            lambda rng, s=_step, v=_v: bartlett_lewis_recurrence_cdf(1.0, 1.0, s, [0.5, v]))
 
 
 class TestNonFiniteInputs:
@@ -187,6 +196,63 @@ class TestVoidProbability:
         rep = estimate_void_probability(spec, 30.0, 1.0, 3000, RngStream(119))
         bound = 1.0 - theoretical_blackwell_limit(spec, 1.0)
         assert rep.estimate >= bound - 4 * rep.std_error
+
+
+class TestBartlettLewisExact:
+    """The targets read the step law's limited mean exactly; a survival
+    callable goes through the adaptive Gauss-Legendre rule."""
+
+    KINKED = Uniform(0.2, 3.0)
+
+    @staticmethod
+    def uniform_void(x, rate=1.0, mean_size=1.3, lo=0.2, hi=3.0):
+        y = min(x, hi)
+        return np.exp(-rate * (x + mean_size * (y - max(y - lo, 0.0) ** 2 / (2 * (hi - lo)))))
+
+    def test_spec_target_exact_past_both_kinks(self):
+        # scipy's quad, the former path, gave 0.001695122964392 here, off by
+        # 4.6e-9 relative: its error estimate missed the survival's kinks
+        spec = bartlett_lewis_preset(1.0, PoissonCount(1.3), self.KINKED)
+        rep = estimate_void_probability(spec, 1.0, 4.3, 2, stream_for(0, "bl-exact"))
+        assert rep.target == pytest.approx(self.uniform_void(4.3), rel=1e-12, abs=0)
+
+    def test_callable_rule_on_kinked_survival(self):
+        def survival(y):
+            return 1.0 - float(self.KINKED.cdf(y))
+
+        v = bartlett_lewis_void_probability(1.0, 1.3, survival, 4.3)
+        assert v == pytest.approx(self.uniform_void(4.3), rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("step", [
+        Exponential(1.0),
+        Uniform(0.2, 3.0),
+        Mixture(((0.4, Uniform(0.0, 1.0)), (0.6, Exponential(2.0)))),
+    ], ids=repr)
+    def test_callable_form_matches_law_form(self, step):
+        grid = np.array([-1.0, 0.0, 0.1, 0.2, 1.0, 2.5, 3.0, 4.3])
+
+        def survival(y):
+            return 1.0 - float(step.cdf(y))
+
+        law, fn = (bartlett_lewis_recurrence_cdf(2.0, 1.5, s, grid) for s in (step, survival))
+        assert np.all(law[:2] == 0.0) and np.all(fn[:2] == 0.0)
+        assert fn == pytest.approx(law, rel=1e-12, abs=0)
+        # the grid in one call is the void target point by point
+        assert list(law[2:]) == [1.0 - bartlett_lewis_void_probability(2.0, 1.5, step, x)
+                                 for x in grid[2:]]
+
+    def test_callable_rule_bisects_onto_a_jump(self):
+        # steps of exactly 1/3: the integral of P(step > y) over (0, 1] is 1/3
+        v = bartlett_lewis_void_probability(1.0, 1.0, lambda y: float(y < 1.0 / 3.0), 1.0)
+        assert v == np.exp(-(1.0 + 1.0 / 3.0))
+
+    @pytest.mark.parametrize("survival", [
+        lambda y: np.cos(1e4 * y) ** 2,
+        lambda y: float("nan"),
+    ], ids=["oscillating", "nan"])
+    def test_callable_rule_gives_up(self, survival):
+        with pytest.raises(QuadratureError):
+            bartlett_lewis_void_probability(1.0, 1.0, survival, 1.0)
 
 
 BL_SPEC = bartlett_lewis_preset(1.0, PoissonCount(1.0), Exponential(1.0))

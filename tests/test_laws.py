@@ -89,6 +89,63 @@ def test_gamma_cdf_matches_scipy_stats_bitwise(shape, scale):
         assert got.view(np.uint64) == want.view(np.uint64)
 
 
+KINKED = Uniform(0.2, 3.0)
+Y = 1.5 / 0.7
+# E min(X, x) by hand: (law, x, value)
+LIMITED_MEANS = [
+    (Exponential(0.25), 2.0, (1.0 - np.exp(-0.5)) / 0.25),
+    (KINKED, 0.1, 0.1),
+    (KINKED, 0.2, 0.2),
+    (KINKED, 1.5, 1.5 - 1.3**2 / 5.6),
+    (KINKED, 3.0, 1.6),
+    (KINKED, 4.3, 1.6),
+    # shape 1 is Exponential(1 / scale)
+    (GammaLaw(1.0, 2.0), 1.5, 2.0 * (1.0 - np.exp(-0.75))),
+    # shape 2: k theta P(3, y) + x Q(2, y), y = x / theta, in elementary form
+    (GammaLaw(2.0, 0.7), 1.5,
+     1.4 * (1.0 - np.exp(-Y) * (1.0 + Y + Y**2 / 2)) + 1.5 * np.exp(-Y) * (1.0 + Y)),
+    (Mixture(((0.3, Exponential(2.0)), (0.7, Uniform(0.0, 4.0)))), 1.0,
+     0.3 * (1.0 - np.exp(-2.0)) / 2.0 + 0.7 * (1.0 - 1.0 / 8.0)),
+]
+LIMITED_LAWS = ALL_LAWS + [KINKED, GammaLaw(0.5, 2.0), GammaLaw(1.0, 2.0)]
+LIMITED_XS = [0.05, 0.2, 0.5, 1.0, 2.9, 3.0, 4.3, 10.0]
+
+
+@pytest.mark.parametrize("law,x,value", LIMITED_MEANS, ids=repr)
+def test_limited_mean_closed_forms(law, x, value):
+    assert law.limited_mean(x) == pytest.approx(value, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("law", LIMITED_LAWS, ids=repr)
+def test_limited_mean_matches_quad(law):
+    for x in LIMITED_XS:
+        ref = integrate.quad(lambda y: 1.0 - law.cdf(y), 0.0, x, limit=200,
+                             epsabs=1e-13, epsrel=1e-13)[0]
+        assert law.limited_mean(x) == pytest.approx(ref, rel=1e-8, abs=0), x
+
+
+@pytest.mark.parametrize("law", LIMITED_LAWS, ids=repr)
+def test_limited_mean_edges_and_arrays(law):
+    # zero at and below the origin; elementwise over an array of any shape;
+    # up to E X far out
+    assert law.limited_mean(0.0) == 0.0 and law.limited_mean(-1.5) == 0.0
+    xs = np.array([-1.0, 0.0] + LIMITED_XS).reshape(2, 5)
+    got = law.limited_mean(xs)
+    assert got.shape == xs.shape
+    assert np.array_equal(got, [[law.limited_mean(float(x)) for x in row] for row in xs])
+    assert np.all(np.diff(got.ravel()) >= 0)
+    assert law.limited_mean(1e4) == pytest.approx(law.mean(), rel=1e-12)
+
+
+@pytest.mark.parametrize("law", LIMITED_LAWS, ids=repr)
+def test_limited_mean_monte_carlo(law):
+    xs = law.sample(RngStream(31).generator(), 200_000)
+    for x in (0.75 * law.mean(), 1.5 * law.mean()):
+        clipped = np.minimum(xs, x)
+        se = clipped.std(ddof=1) / np.sqrt(clipped.size)
+        assert abs(clipped.mean() - law.limited_mean(x)) < 4 * se
+
+
 def test_size_biased_laws():
     assert Exponential(4.0).size_biased() == GammaLaw(2.0, 0.25)
     assert GammaLaw(2.5, 0.7).size_biased() == GammaLaw(3.5, 0.7)
